@@ -19,6 +19,7 @@ import os
 import statistics
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .graph import (
 )
 
 _MODE_NAMES = {"cluster": "cluster_centric", "vertex": "vertex_centric"}
+_WORKERS_HELP = "worker threads (default: $EFGRAPH_WORKERS, else 1)"
 
 
 def main(argv=None) -> int:
@@ -63,6 +65,7 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
+    usage_error = _resolve_env_workers(args)
     manifest = {
         "tool": "efgraph",
         "version": __version__,
@@ -72,25 +75,52 @@ def main(argv=None) -> int:
         "timings_ms": {},
         "status": "ok",
     }
+    if usage_error:
+        _record_error(args, manifest, usage_error, "usage")
+        _write_manifest(args, manifest)
+        return 2
     t0 = time.perf_counter()
     try:
         args.func(args, manifest)
         rc = 0
     except (ValueError, OSError) as exc:
-        manifest["status"] = "error"
-        manifest["error"] = str(exc)
-        print(f"efgraph {args.command}: error: {exc}", file=sys.stderr)
+        _record_error(args, manifest, str(exc), type(exc).__name__)
+        rc = 1
+    except Exception as exc:  # still leave a manifest behind, then report the traceback
+        _record_error(args, manifest, str(exc), type(exc).__name__)
+        traceback.print_exc()
         rc = 1
     manifest["timings_ms"]["total"] = _ms_since(t0)
     _write_manifest(args, manifest)
     return rc
 
 
+def _resolve_env_workers(args: argparse.Namespace) -> str | None:
+    """Fill an unset --workers from EFGRAPH_WORKERS; return a usage error, if any."""
+    if not hasattr(args, "workers") or args.workers is not None:
+        return None
+    raw = os.environ.get("EFGRAPH_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        return f"EFGRAPH_WORKERS must be a positive integer, got {raw!r}"
+    args.workers = workers
+    return None
+
+
+def _record_error(args: argparse.Namespace, manifest: dict, message: str, kind: str) -> None:
+    manifest["status"] = "error"
+    manifest["error"] = message
+    manifest["error_type"] = kind
+    print(f"efgraph {args.command}: error: {message}", file=sys.stderr)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="efgraph", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"efgraph {__version__}")
     sub = parser.add_subparsers(dest="command")
-    default_workers = int(os.environ.get("EFGRAPH_WORKERS", "1"))
 
     p = sub.add_parser("generate", help="generate an R-MAT edge-list file")
     p.add_argument("--scale", type=int, required=True)
@@ -103,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ef", help="compute Expected Force scores")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=sorted(_MODE_NAMES), default="cluster")
-    p.add_argument("--workers", type=int, default=default_workers)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--chunk-size", type=int, default=4096)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_ef, command="ef")
@@ -117,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=BETWEENNESS_COST_BUDGET,
                    help="refuse betweenness when n*m exceeds this without --force")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--workers", type=int, default=default_workers)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_centrality, command="centrality")
 
@@ -128,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_sir_flags(p)
     p.add_argument("--threshold", type=float, default=0.25)
-    p.add_argument("--workers", type=int, default=default_workers)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--forest-output", default=None, help="also dump parent pairs as CSV")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_simulate, command="simulate")
@@ -146,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_sir_flags(p)
     p.add_argument("--threshold", type=float, default=0.25)
-    p.add_argument("--workers", type=int, default=default_workers)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--output", required=True, help="output prefix: writes PREFIX.csv and PREFIX.ndjson")
     p.set_defaults(func=cmd_analyze, command="analyze")
 

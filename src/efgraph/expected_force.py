@@ -8,11 +8,16 @@ root) count twice for their root, once per transmission order.
 
 Two interchangeable algorithms are provided:
 
-* cluster_centric: every middle-node triplet (i, v, j) with i < j adjacent
-  to v is enumerated exactly once, and its degree is credited to the
-  histograms of all three members in one pass (weight 2 for the middle).
-  Work is streamed in node chunks and batch-vectorized; clusters are never
-  materialized as a global set.
+* cluster_centric: a degree-class kernel. A cluster's degree depends only
+  on its members' degrees and on whether it closes a triangle, so each
+  node's histogram is assembled from counts of its neighbors' degrees
+  (middle credits), its neighbors' neighbor-degree counts (wing credits,
+  equal-degree wings credited in one batch) and a correction for each
+  triangle it belongs to, listed once by the degree-ordered forward
+  algorithm. Every cluster is still credited exactly once to each of its
+  three members. Nodes are processed in owner chunks whose dense histogram
+  bins are bounded by a fixed budget; each chunk turns its own nodes'
+  histograms into scores and drops them.
 * vertex_centric: the original per-node formulation. Each node
   independently walks its own star pairs and 2-hop chains, rebuilding every
   shared cluster once per member. Kept as the reference baseline.
@@ -25,11 +30,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 import math
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, cluster_count
 
 __all__ = [
     "EFResult",
@@ -48,7 +54,7 @@ FLAG_OK = 0
 FLAG_NO_CLUSTERS = 1  # node participates in no cluster (e.g. isolated edge)
 FLAG_ZERO_DEGREE_CLUSTERS = 2  # clusters exist but all have degree 0
 
-_PAIR_BUDGET = 1 << 20  # max neighbor pairs handled per vectorized batch
+_ENTRY_BUDGET = 1 << 18  # histogram entries plus dense bins held by one chunk or batch
 
 
 @dataclass
@@ -60,9 +66,10 @@ class EFResult:
         cluster_total: int64 histogram mass per node
             (2*C(deg(v),2) + sum of (deg(i)-1) over neighbors i)
         flags: uint8 per node, one of the FLAG_* constants
-        clusters_processed: triplets enumerated by the run; for
-            cluster_centric this is the number of distinct clusters, for
-            vertex_centric the total number of per-node cluster visits
+        clusters_processed: clusters covered by the run; for
+            cluster_centric this is the number of distinct clusters,
+            sum of C(deg(v), 2), for vertex_centric the total number of
+            per-node cluster visits
     """
 
     ef: np.ndarray
@@ -136,14 +143,15 @@ def write_ef_csv(g: Graph, result: EFResult, stream) -> None:
 
 
 def ef_cluster_centric(g: Graph, workers: int = 1, chunk_size: int = 4096) -> EFResult:
-    """Expected Force via single-visit cluster enumeration.
+    """Expected Force via owner-local neighbor-degree-class histograms.
 
-    Nodes are split into chunks claimed by workers; within a chunk, every
-    neighbor pair of every middle node is generated in batches, cluster
-    degrees are computed vectorized, and the four histogram increments per
-    cluster are accumulated as integer (node, degree) counts. Worker
-    results merge by exact integer addition, so the output is bitwise
-    identical for any workers/chunk_size combination.
+    Nodes are split into contiguous owner chunks, at most chunk_size nodes
+    and one internal entry/bin budget each, claimed by workers. A chunk
+    builds the exact integer histograms of its own nodes from degree
+    classes and a shared triangle list, reduces them to scores, and drops
+    them. Chunks own disjoint nodes and each node's entropy sums run in a
+    fixed order, so the output is bitwise identical for any
+    workers/chunk_size combination.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -152,26 +160,23 @@ def ef_cluster_centric(g: Graph, workers: int = 1, chunk_size: int = 4096) -> EF
     if g.n == 0:
         return _empty_result()
 
-    deg = g.degrees()
-    key_span = _key_span(deg)
-    edge_codes = _und_edge_codes(g)
-    chunks = [(s, min(s + chunk_size, g.n)) for s in range(0, g.n, chunk_size)]
+    kernel = _DegreeClassKernel(g)
+    efv = np.zeros(g.n)
+    mass = np.zeros(g.n, dtype=np.int64)
+    flags = np.zeros(g.n, dtype=np.uint8)
 
     def work(bounds):
-        return _chunk_histograms(g, deg, edge_codes, key_span, bounds[0], bounds[1])
+        s, e = bounds
+        efv[s:e], mass[s:e], flags[s:e] = kernel.scores(s, e)
 
+    chunks = _budget_ranges(kernel.cost, _ENTRY_BUDGET, chunk_size)
     if workers == 1 or len(chunks) == 1:
-        parts = [work(c) for c in chunks]
+        for c in chunks:
+            work(c)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, chunks))
-
-    pairs = sum(p[2] for p in parts)
-    keys = np.concatenate([p[0] for p in parts]) if parts else np.zeros(0, np.int64)
-    counts = np.concatenate([p[1] for p in parts]) if parts else np.zeros(0, np.int64)
-    keys, counts = _merge_histograms(keys, counts)
-    efv, mass, flags = _scores_from_histograms(g.n, key_span, keys, counts)
-    return EFResult(ef=efv, cluster_total=mass, flags=flags, clusters_processed=pairs)
+            list(pool.map(work, chunks))
+    return EFResult(ef=efv, cluster_total=mass, flags=flags, clusters_processed=cluster_count(g))
 
 
 def _key_span(deg: np.ndarray) -> int:
@@ -180,127 +185,177 @@ def _key_span(deg: np.ndarray) -> int:
     return 3 * max(1, top) + 1
 
 
-def _und_edge_codes(g: Graph) -> np.ndarray:
-    """Sorted int64 codes u*n+v (u < v), one per undirected edge."""
-    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-    dst = g.neighbors.astype(np.int64)
-    keep = src < dst
-    return src[keep] * np.int64(g.n) + dst[keep]
+def _budget_ranges(cost: np.ndarray, budget: int, max_len: int | None = None) -> list[tuple[int, int]]:
+    """Split 0..len(cost) into contiguous ranges of total cost <= budget.
+
+    A range holds at most max_len items (if given) and at least one, so a
+    single item over budget forms a range of its own.
+    """
+    max_len = max_len or cost.size
+    cum = np.cumsum(cost)
+    ranges = []
+    s = 0
+    while s < cost.size:
+        before = int(cum[s - 1]) if s else 0
+        e = int(np.searchsorted(cum, before + budget, side="right"))
+        e = min(max(e, s + 1), s + max_len)
+        ranges.append((s, e))
+        s = e
+    return ranges
 
 
-def _edge_mask(edge_codes: np.ndarray, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    if edge_codes.size == 0:
-        return np.zeros(i.size, dtype=np.int64)
-    code = i * np.int64(n) + j
-    pos = np.searchsorted(edge_codes, code)
-    np.minimum(pos, edge_codes.size - 1, out=pos)
-    return (edge_codes[pos] == code).astype(np.int64)
+def _grouped_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(starts[k], starts[k] + lengths[k]) over k."""
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1]) if ends.size else 0) - np.repeat(ends - lengths - starts, lengths)
 
 
-_triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+class _DegreeClassKernel:
+    """Cluster-degree histograms of one graph, built owner by owner.
+
+    A cluster's degree is d_x - 4 + t for each member x, where t is the sum
+    of the other two members' degrees, less 2 if the cluster is a triangle.
+    Histograms are therefore kept per owner in dense bins over t. Three
+    kinds of integer credit fill them:
+
+    * middle: owner x with neighbor-degree classes (a, c_a), (b, c_b),
+      a <= b, holds 2*c_a*c_b clusters (c_a*(c_a-1) when a == b) at t = a+b;
+    * wing: for each neighbor v of x and each class (a, c_a) of v, c_a
+      clusters at t = d_v + a, less the j = x self term at a = d_x;
+    * triangle: each triangle {x, b, c} moves its 4 credits of x (2 as the
+      middle, 1 per wing) from t = d_b + d_c to t = d_b + d_c - 2.
+    """
+
+    def __init__(self, g: Graph):
+        n = g.n
+        deg = g.degrees()
+        owner = np.repeat(np.arange(n, dtype=np.int64), deg)
+        nbr = g.neighbors.astype(np.int64)
+        span = int(deg.max()) + 1
+        keys, ccnt = np.unique(owner * span + deg[nbr], return_counts=True)
+        cnode = keys // span
+        coff = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cnode, minlength=n), out=coff[1:])
+        cdeg = keys - cnode * span
+        nclass = np.diff(coff)
+
+        self.tri_span = 2 * span - 1
+        self.tri_keys, self.tri_count = _triangle_member_keys(g, deg, owner, nbr, self.tri_span)
+        toff = np.searchsorted(self.tri_keys, np.arange(n + 1) * self.tri_span)
+
+        # dense bin range per owner: every credit's t lies in [t_lo, t_hi]
+        cmin = cdeg[coff[:-1]]
+        cmax = cdeg[coff[1:] - 1]
+        starts = g.offsets[:-1]
+        t_lo = np.minimum(2 * cmin, np.minimum.reduceat(deg[nbr] + cmin[nbr], starts)) - 2
+        t_hi = np.maximum(2 * cmax, np.maximum.reduceat(deg[nbr] + cmax[nbr], starts))
+
+        self.deg = deg
+        self.owner = owner
+        self.nbr = nbr
+        self.offsets = g.offsets
+        self.cnode, self.cdeg, self.ccnt, self.coff = cnode, cdeg, ccnt.astype(np.float64), coff
+        self.class_end = coff[cnode + 1]
+        self.slot_cost = nclass[nbr] + 1
+        self.toff = toff
+        self.t_lo = t_lo
+        self.width = t_hi - t_lo + 1
+        wing = np.add.reduceat(self.slot_cost, starts)
+        self.cost = nclass * (nclass + 1) // 2 + wing + 2 * np.diff(toff) + self.width
+        self.key_span = _key_span(deg)
+
+    def scores(self, s: int, e: int):
+        """(ef, cluster_total, flags) of owners s..e-1."""
+        boff = np.zeros(e - s + 1, dtype=np.int64)
+        np.cumsum(self.width[s:e], out=boff[1:])
+        base = boff[:-1] - self.t_lo[s:e]  # bin of (owner x, t) is base[x - s] + t
+        nbins = int(boff[-1])
+        batches = self._credits(s, e, base)
+        bins = reduce(np.add, (np.bincount(i, weights=w, minlength=nbins) for i, w in batches))
+        nz = np.flatnonzero(bins != 0)  # a bool mask scans ~5x faster than float
+        per_owner = np.diff(np.searchsorted(nz, boff))
+        # key = owner * key_span + degree, with degree = d_x - 4 + t
+        shift = np.arange(e - s) * self.key_span - base + self.deg[s:e] - 4
+        keys = nz + np.repeat(shift, per_owner)
+        return _scores_from_histograms(e - s, self.key_span, keys, bins[nz].astype(np.int64))
+
+    def _credits(self, s, e, base):
+        """Yield (bin index, count) batches holding every credit of owners s..e-1."""
+        deg, cdeg, ccnt = self.deg, self.cdeg, self.ccnt
+
+        p = np.arange(self.coff[s], self.coff[e])
+        pairs = self.class_end[p] - p
+        q = _grouped_arange(p, pairs)
+        diag = np.cumsum(pairs) - pairs  # the a == b pair opens each class's run
+        mid_idx = np.repeat(base[self.cnode[p] - s] + cdeg[p], pairs) + cdeg[q]
+        mid_w = np.repeat(2 * ccnt[p], pairs) * ccnt[q]
+        mid_w[diag] = ccnt[p] * (ccnt[p] - 1)
+
+        tri = self.tri_keys[self.toff[s] : self.toff[e]]
+        member = tri // self.tri_span
+        tri_base = base[member - s] + tri - member * self.tri_span
+        tri_idx = np.concatenate([tri_base, tri_base - 2])
+        tri_count = 4.0 * self.tri_count[self.toff[s] : self.toff[e]]
+        tri_w = np.concatenate([-tri_count, tri_count])
+
+        # every owner has a slot (graphs hold no isolated nodes), so the
+        # middle and triangle credits ride along with the first wing batch
+        idx_parts, w_parts = [mid_idx, tri_idx], [mid_w, tri_w]
+        o0, o1 = self.offsets[s], self.offsets[e]
+        for b0, b1 in _budget_ranges(self.slot_cost[o0:o1], _ENTRY_BUDGET):
+            v = self.nbr[o0 + b0 : o0 + b1]
+            x = self.owner[o0 + b0 : o0 + b1]
+            nclass = self.coff[v + 1] - self.coff[v]
+            cls = _grouped_arange(self.coff[v], nclass)
+            slot_base = base[x - s] + deg[v]
+            idx_parts += [np.repeat(slot_base, nclass) + cdeg[cls], slot_base + deg[x]]
+            w_parts += [ccnt[cls], np.full(v.size, -1.0)]
+            yield np.concatenate(idx_parts), np.concatenate(w_parts)
+            idx_parts, w_parts = [], []
 
 
-def _triu(L: int) -> tuple[np.ndarray, np.ndarray]:
-    got = _triu_cache.get(L)
-    if got is None:
-        got = np.triu_indices(L, 1)
-        if len(_triu_cache) < 512:
-            _triu_cache[L] = got
-    return got
+def _triangle_member_keys(g: Graph, deg, owner, nbr, span: int):
+    """(keys, counts): distinct member * span + t over all triangle members.
 
+    Keys ascend; counts give how many triangles share each key.
 
-def _cluster_keys(deg, edge_codes, n, key_span, i, v, j, dv):
-    """Histogram-increment keys for clusters (i, v, j); middle weighted twice."""
-    d = deg[i] + deg[j] + (dv - 4) - 2 * _edge_mask(edge_codes, n, i, j)
-    kv = v * key_span + d
-    return np.concatenate([i * key_span + d, j * key_span + d, kv, kv])
+    t is the degree sum of the member's two triangle partners. Triangles are
+    listed once each by the degree-ordered forward algorithm (Schank &
+    Wagner 2005; Latapy 2008): orient every edge toward the endpoint of
+    higher (degree, id) rank and test the wedges of each node's forward
+    neighbors, of which there are at most O(sqrt(m)).
+    """
+    n = g.n
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    fwd = rank[owner] < rank[nbr]
+    fu = owner[fwd]
+    fv = nbr[fwd]
+    foff = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(fu, minlength=n), out=foff[1:])
+    later = foff[fu + 1] - np.arange(fu.size) - 1  # forward slots after each slot
+    und = owner < nbr
+    codes = owner[und] * np.int64(n) + nbr[und]  # sorted: CSR is node-major
 
-
-_RAW_KEY_LIMIT = 1 << 24  # collapse raw increment keys into counted form past this
-
-
-def _chunk_histograms(g, deg, edge_codes, key_span, start, end):
-    raw: list[np.ndarray] = []
-    raw_size = 0
-    collapsed_keys: list[np.ndarray] = []
-    collapsed_counts: list[np.ndarray] = []
-    pairs = 0
-
-    def flush():
-        nonlocal raw, raw_size
-        if raw:
-            keys, counts = np.unique(np.concatenate(raw), return_counts=True)
-            collapsed_keys.append(keys)
-            collapsed_counts.append(counts.astype(np.int64))
-            raw = []
-            raw_size = 0
-
-    def emit(keys: np.ndarray):
-        nonlocal raw_size
-        raw.append(keys)
-        raw_size += keys.size
-        if raw_size >= _RAW_KEY_LIMIT:
-            flush()
-
-    nodes = np.arange(start, end, dtype=np.int64)
-    nodes = nodes[deg[start:end] >= 2]
-    local_deg = deg[nodes]
-    for L in np.unique(local_deg).tolist():
-        group = nodes[local_deg == L]
-        per_node = L * (L - 1) // 2
-        if per_node <= _PAIR_BUDGET:
-            rows = max(1, _PAIR_BUDGET // per_node)
-            pi, qi = _triu(L)
-            for s in range(0, group.size, rows):
-                sub = group[s : s + rows]
-                mat = g.neighbors[g.offsets[sub][:, None] + np.arange(L)].astype(np.int64)
-                i = mat[:, pi].ravel()
-                j = mat[:, qi].ravel()
-                v = np.repeat(sub, per_node)
-                emit(_cluster_keys(deg, edge_codes, g.n, key_span, i, v, j, L))
-                pairs += i.size
-        else:
-            # hub: stream this node's pairs in budget-sized blocks
-            for node in group.tolist():
-                adj = g.adjacency(node).astype(np.int64)
-                for i, j in _pair_blocks(adj):
-                    v = np.full(i.size, node, dtype=np.int64)
-                    emit(_cluster_keys(deg, edge_codes, g.n, key_span, i, v, j, L))
-                    pairs += i.size
-    flush()
-    if not collapsed_keys:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64), pairs
-    keys, counts = _merge_histograms(
-        np.concatenate(collapsed_keys), np.concatenate(collapsed_counts)
-    )
-    return keys, counts, pairs
-
-
-def _pair_blocks(adj: np.ndarray):
-    acc_i: list[np.ndarray] = []
-    acc_j: list[np.ndarray] = []
-    acc = 0
-    for p in range(adj.size - 1):
-        tail = adj[p + 1 :]
-        acc_i.append(np.full(tail.size, adj[p], dtype=np.int64))
-        acc_j.append(tail)
-        acc += tail.size
-        if acc >= _PAIR_BUDGET:
-            yield np.concatenate(acc_i), np.concatenate(acc_j)
-            acc_i, acc_j, acc = [], [], 0
-    if acc:
-        yield np.concatenate(acc_i), np.concatenate(acc_j)
-
-
-def _merge_histograms(keys: np.ndarray, counts: np.ndarray):
-    """Sum counts of equal keys; result sorted by key (node-major, degree ascending)."""
-    if keys.size == 0:
-        return keys, counts
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    counts = counts[order]
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    return keys[starts], np.add.reduceat(counts, starts)
+    found = [np.zeros(0, dtype=np.int64)]
+    for b0, b1 in _budget_ranges(later, _ENTRY_BUDGET):
+        first = np.arange(b0, b1)
+        wings = later[b0:b1]
+        a = np.repeat(fv[first], wings)
+        b = fv[_grouped_arange(first + 1, wings)]
+        code = a * np.int64(n) + b
+        pos = np.minimum(np.searchsorted(codes, code), codes.size - 1)
+        hit = codes[pos] == code
+        tri = (np.repeat(fu[first], wings)[hit], a[hit], b[hit])
+        total = deg[tri[0]] + deg[tri[1]] + deg[tri[2]]
+        found += [x * span + total - deg[x] for x in tri]
+    keys = np.concatenate(found)
+    del found
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return keys[starts], np.diff(starts, append=keys.size)
 
 
 def _scores_from_histograms(n, key_span, keys, counts):

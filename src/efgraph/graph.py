@@ -29,6 +29,8 @@ __all__ = [
 DEFAULT_RMAT_PROBS = (0.57, 0.19, 0.19, 0.05)
 
 _MAX_NODES = 2**31  # neighbor ids are stored as int32
+_MAX_SCALE = 31  # 2^scale node ids must fit int32
+_MAX_ORIG_ID = 2**63 - 1  # original ids are stored as int64
 
 
 @dataclass
@@ -101,8 +103,8 @@ class RmatParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
+        if not 1 <= self.scale <= _MAX_SCALE:
+            raise ValueError(f"scale must be in [1, {_MAX_SCALE}] (node ids are int32), got {self.scale}")
         if self.avg_degree < 1:
             raise ValueError("avg_degree must be >= 1")
         probs = tuple(float(p) for p in self.quadrant_probs)
@@ -116,9 +118,9 @@ def load_edge_list(stream) -> np.ndarray:
     """Parse a whitespace-separated edge list into a (k, 2) int64 array.
 
     Lines starting with '#' or '%' are comments; blank lines are skipped.
-    Each remaining line must carry at least two non-negative integer tokens;
-    extra tokens (e.g. weights) are ignored. Pairs are returned in input
-    order, duplicates and self-loops included.
+    Each remaining line must carry at least two integer tokens in
+    [0, 2^63 - 1]; extra tokens (e.g. weights) are ignored. Pairs are
+    returned in input order, duplicates and self-loops included.
     """
     us: list[int] = []
     vs: list[int] = []
@@ -136,6 +138,8 @@ def load_edge_list(stream) -> np.ndarray:
             raise ValueError(f"line {lineno}: non-integer node id in {tokens[:2]}") from None
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: negative node id in ({u}, {v})")
+        if u > _MAX_ORIG_ID or v > _MAX_ORIG_ID:
+            raise ValueError(f"line {lineno}: node id in ({u}, {v}) exceeds the int64 maximum {_MAX_ORIG_ID}")
         us.append(u)
         vs.append(v)
     out = np.empty((len(us), 2), dtype=np.int64)

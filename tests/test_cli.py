@@ -43,6 +43,14 @@ class TestGenerate:
     def test_bad_probs_is_usage_error(self):
         assert _run("generate", "--scale", 4, "--avg-degree", 2, "--probs", "1,2", "--output", "x") == 2
 
+    def test_scale_beyond_int32_ids_rejected(self, tmp_path):
+        out = tmp_path / "g.txt"
+        assert _run("generate", "--scale", 40, "--avg-degree", 16, "--output", out) == 1
+        manifest = json.loads((tmp_path / "g.txt.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "scale" in manifest["error"]
+        assert not out.exists()
+
 
 class TestEf:
     def test_star_scores(self, tmp_path):
@@ -75,6 +83,31 @@ class TestEf:
         assert manifest["clusters_processed"] == 3
         assert manifest["time_to_solution_ms"] > 0
         assert manifest["clusters_per_ms"] > 0
+
+    def test_id_beyond_int64_is_data_error(self, tmp_path):
+        inp = tmp_path / "big.txt"
+        inp.write_text(f"0 1\n{2**63} 1\n")
+        out = tmp_path / "ef.csv"
+        assert _run("ef", "--input", inp, "--output", out) == 1
+        manifest = json.loads((tmp_path / "ef.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error_type"] == "ValueError"
+        assert "line 2" in manifest["error"]
+
+    def test_unexpected_exception_recorded(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr("efgraph.cli.compute_ef", broken)
+        inp = tmp_path / "star.txt"
+        _write_star(inp)
+        out = tmp_path / "ef.csv"
+        assert _run("ef", "--input", inp, "--output", out) == 1
+        manifest = json.loads((tmp_path / "ef.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"] == "kernel exploded"
+        assert manifest["error_type"] == "RuntimeError"
+        assert "Traceback" in capsys.readouterr().err
 
     def test_unreadable_input(self, tmp_path):
         out = tmp_path / "ef.csv"
@@ -217,3 +250,17 @@ class TestTopLevel:
         assert _run("ef", "--input", inp, "--output", out) == 0
         manifest = json.loads((tmp_path / "ef.csv.manifest.json").read_text())
         assert manifest["workers"] == 3
+
+    @pytest.mark.parametrize("value", ["two", "0", ""])
+    def test_bad_env_workers_is_usage_error(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("EFGRAPH_WORKERS", value)
+        inp = tmp_path / "star.txt"
+        _write_star(inp)
+        out = tmp_path / "ef.csv"
+        assert _run("ef", "--input", inp, "--output", out) == 2
+        manifest = json.loads((tmp_path / "ef.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "EFGRAPH_WORKERS" in manifest["error"]
+        assert not out.exists()
+        # an explicit --workers does not consult the environment
+        assert _run("ef", "--input", inp, "--workers", 2, "--output", out) == 0

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from efgraph import expected_force as ef_module
 from efgraph.expected_force import (
     FLAG_NO_CLUSTERS,
     FLAG_OK,
@@ -17,6 +19,7 @@ from efgraph.graph import RmatParams, build_graph, cluster_count, generate_rmat
 
 from conftest import complete_edges, er_edges, path_edges, star_edges
 from oracles import adjacency, expected_force
+from test_acceptance import _mixed_random_graphs
 
 
 def _assert_matches_oracle(edges, result, g, tol=1e-9):
@@ -177,3 +180,63 @@ class TestProcessedCounts:
         g = build_graph(complete_edges(5))
         res = ef_vertex_centric(g)
         assert res.clusters_processed == 3 * cluster_count(g)
+
+
+def _assert_bitwise_equal(a, b):
+    assert a.ef.tobytes() == b.ef.tobytes()
+    assert a.cluster_total.tobytes() == b.cluster_total.tobytes()
+    assert a.flags.tobytes() == b.flags.tobytes()
+
+
+def _edge_case_graphs():
+    hub_leaves = 750  # C(750, 2) = 280,875 clusters at the hub
+    spider = [(0, i) for i in range(1, 6)] + [(i, i + 5) for i in range(1, 6)]
+    specs = [
+        star_edges(hub_leaves),
+        complete_edges(12),  # every cluster is a triangle
+        path_edges(6),  # degree-1 ends next to degree-2 nodes
+        spider,  # degree-1 feet on degree-2 legs around a hub
+        [(0, 1)],  # isolated edge: only zero-count classes
+        star_edges(4) + complete_edges(4),  # triangles sharing the hub
+    ]
+    return [build_graph(edges) for edges in specs]
+
+
+class TestBitwiseEquivalence:
+    def test_c01_graphs(self):
+        for g in _mixed_random_graphs(200):
+            _assert_bitwise_equal(ef_cluster_centric(g), ef_vertex_centric(g))
+
+    def test_edge_case_graphs(self):
+        graphs = _edge_case_graphs()
+        assert cluster_count(graphs[0]) > ef_module._ENTRY_BUDGET
+        for g in graphs:
+            _assert_bitwise_equal(ef_cluster_centric(g), ef_vertex_centric(g))
+
+    def test_tiny_budget_splits_owners_and_batches(self, monkeypatch):
+        graphs = _edge_case_graphs()[1:] + _mixed_random_graphs(12)
+        graphs.append(build_graph(star_edges(40) + [(i, i + 1) for i in range(1, 40)]))
+        want = [ef_vertex_centric(g) for g in graphs]
+        monkeypatch.setattr(ef_module, "_ENTRY_BUDGET", 16)
+        for g, ref in zip(graphs, want):
+            _assert_bitwise_equal(ef_cluster_centric(g), ref)
+            _assert_bitwise_equal(ef_cluster_centric(g, workers=3, chunk_size=5), ref)
+
+
+class TestMemoryBound:
+    def test_peak_allocation_follows_entry_budget(self):
+        g, _ = generate_rmat(RmatParams(scale=13, avg_degree=16, seed=1))
+        budget_bytes = 8 * ef_module._ENTRY_BUDGET
+        kernel = ef_module._DegreeClassKernel(g)
+        kernel_bytes = sum(a.nbytes for a in vars(kernel).values() if isinstance(a, np.ndarray))
+        del kernel
+        tracemalloc.start()
+        try:
+            ef_cluster_centric(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beyond its graph-sized arrays the kernel holds a few budget-sized
+        # batches: measured 13 MB + 12.1 budgets = 38.5 MB here, where the
+        # sort-based kernel it replaced needed ~600 MB.
+        assert peak < kernel_bytes + 24 * budget_bytes

@@ -45,6 +45,11 @@ class TestLoadEdgeList:
         with pytest.raises(ValueError, match="negative"):
             load_edge_list(io.StringIO("0 -2\n"))
 
+    def test_id_beyond_int64_reports_line(self):
+        with pytest.raises(ValueError, match="line 2"):
+            load_edge_list(io.StringIO(f"0 1\n{2**63} 1\n"))
+        assert load_edge_list(io.StringIO(f"{2**63 - 1} 0\n")).tolist() == [[2**63 - 1, 0]]
+
     def test_empty_input(self):
         assert load_edge_list(io.StringIO("")).shape == (0, 2)
 
@@ -171,6 +176,12 @@ class TestRmat:
             RmatParams(scale=4, avg_degree=0)
         with pytest.raises(ValueError):
             RmatParams(scale=4, avg_degree=2, quadrant_probs=(0.5, 0.5, 0.5, 0.5))
+
+    def test_scale_capped_at_int32_ids(self):
+        assert RmatParams(scale=31, avg_degree=1).scale == 31  # validation allocates nothing
+        for scale in (32, 40):
+            with pytest.raises(ValueError, match="scale"):
+                RmatParams(scale=scale, avg_degree=1)
 
 
 class TestExport:
