@@ -25,7 +25,7 @@ import numpy as np
 
 from .epidemic import (
     SirParams,
-    _depth_counts,
+    descendant_counts,
     epidemic_length,
     is_global_outbreak,
     run_replicates,
@@ -107,9 +107,9 @@ def _spreading_power_arrays(outcomes, n: int, orders=(1, 2, 3, 4)) -> dict[int, 
     """Mean depth-d descendant counts per node over the given outcomes."""
     acc = {d: np.zeros(n) for d in orders}
     for o in outcomes:
-        for node, tup in _depth_counts(o).items():
-            for d in orders:
-                acc[d][node] += tup[d - 1]
+        counts = descendant_counts(o, max(orders))
+        for d in orders:
+            acc[d] += counts[d - 1]
     for d in orders:
         acc[d] /= len(outcomes)
     return acc

@@ -3,8 +3,11 @@
 These serve as comparison metrics when evaluating how well Expected Force
 predicts epidemic behavior. Betweenness follows Brandes' algorithm with the
 unordered-pair convention (each {s, t} counted once, endpoints excluded, no
-normalization); PageRank is plain power iteration on the undirected
-neighbor-averaging recurrence.
+normalization). It runs one multi-source pass per fixed block of sources,
+sized from the graph by one entry budget, and merges the block sums in
+block order, so its output is bitwise identical for any worker count.
+PageRank is plain power iteration on the undirected neighbor-averaging
+recurrence.
 """
 from __future__ import annotations
 
@@ -27,6 +30,9 @@ __all__ = [
 
 # n*m above this emits a cost warning: exact betweenness is O(n*m).
 BETWEENNESS_COST_BUDGET = 500_000_000
+
+_ENTRY_BUDGET = 1 << 19  # (source, neighbor) entries one betweenness block expands
+_UNSEEN = np.iinfo(np.int32).max  # BFS distance of a key not reached yet
 
 
 @dataclass
@@ -73,11 +79,13 @@ def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-8, max_iter: int =
 
 
 def betweenness(g: Graph, workers: int = 1, cost_budget: int = BETWEENNESS_COST_BUDGET) -> CentralityScores:
-    """Exact betweenness via BFS + dependency accumulation from every source.
+    """Exact betweenness via Brandes' BFS + dependency accumulation from every source.
 
-    Sources are processed in chunks with private accumulators that merge in
-    a fixed chunk order, so parallel runs agree with the sequential one to
-    float accumulation error (~1e-9).
+    Sources run in fixed blocks of B = max(1, _ENTRY_BUDGET // 2m), one
+    multi-source pass per block (see `_block_dependencies`). B comes from
+    the graph alone and the block partials merge in block order, so the
+    output is bitwise identical for any worker count; workers > 1 run
+    blocks on threads.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -91,58 +99,64 @@ def betweenness(g: Graph, workers: int = 1, cost_budget: int = BETWEENNESS_COST_
             stacklevel=2,
         )
 
+    block = max(1, _ENTRY_BUDGET // (2 * g.m))
+    blocks = [np.arange(s, min(s + block, n), dtype=np.int64) for s in range(0, n, block)]
+    total = np.zeros(n)
+    if workers == 1 or len(blocks) == 1:
+        for sources in blocks:
+            total += _block_dependencies(g, sources)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(lambda sources: _block_dependencies(g, sources), blocks):
+                total += part
+    return CentralityScores(metric="betweenness", values=total / 2.0)
+
+
+def _block_dependencies(g: Graph, sources: np.ndarray) -> np.ndarray:
+    """Summed Brandes dependencies of every node over one block of sources.
+
+    The block's B searches share flat state arrays over keys b*n + v (source
+    b, node v). Each BFS level expands the whole block's frontier from the
+    CSR in one gather, marks the unseen keys, and adds sigma along the
+    level's down-edges with one bincount; the down-edges are kept, and the
+    backward pass walks them from the deepest level up, crediting each
+    parent sigma[v] * sum over children w of (1 + delta[w]) / sigma[w].
+    """
+    n = g.n
+    keys = sources.size * n
     deg = g.degrees()
     offsets = g.offsets
     neighbors = g.neighbors
-
-    def _expand(front: np.ndarray):
-        counts = deg[front]
+    dist = np.full(keys, _UNSEEN, dtype=np.int32)
+    sigma = np.zeros(keys)
+    front = np.arange(sources.size, dtype=np.int64) * n + sources
+    dist[front] = 0
+    sigma[front] = 1.0
+    levels = []
+    depth = 0
+    while front.size:
+        v = front % n
+        counts = deg[v]
         cum = np.cumsum(counts)
-        idx = np.repeat(offsets[front], counts) + (
-            np.arange(int(cum[-1]), dtype=np.int64) - np.repeat(cum - counts, counts)
-        )
-        return neighbors[idx].astype(np.int64), np.repeat(front, counts)
-
-    def source_chunk(sources: np.ndarray) -> np.ndarray:
-        acc = np.zeros(n)
-        for s in sources.tolist():
-            dist = np.full(n, -1, dtype=np.int64)
-            dist[s] = 0
-            sigma = np.zeros(n)
-            sigma[s] = 1.0
-            levels = []
-            front = np.array([s], dtype=np.int64)
-            depth = 0
-            while front.size:
-                levels.append(front)
-                nb, src = _expand(front)
-                newly = np.unique(nb[dist[nb] == -1])
-                dist[newly] = depth + 1
-                down = dist[nb] == depth + 1
-                sigma += np.bincount(nb[down], weights=sigma[src[down]], minlength=n)
-                front = newly
-                depth += 1
-            delta = np.zeros(n)
-            for front in reversed(levels[1:]):
-                nb, src = _expand(front)
-                up = dist[nb] == dist[src] - 1
-                coeff = sigma[nb[up]] / sigma[src[up]] * (1.0 + delta[src[up]])
-                delta += np.bincount(nb[up], weights=coeff, minlength=n)
-            delta[s] = 0.0
-            acc += delta
-        return acc
-
-    chunk = max(1, n // (workers * 4)) if workers > 1 else n
-    chunks = [np.arange(s, min(s + chunk, n), dtype=np.int64) for s in range(0, n, chunk)]
-    if workers == 1 or len(chunks) == 1:
-        partials = [source_chunk(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(source_chunk, chunks))
-    total = np.zeros(n)
-    for part in partials:
-        total += part
-    return CentralityScores(metric="betweenness", values=total / 2.0)
+        idx = np.repeat(offsets[v] - (cum - counts), counts) + np.arange(int(cum[-1]))
+        key = np.repeat(front - v, counts) + neighbors.take(idx)
+        # dist > depth: unseen, or reached at depth + 1 through another parent (a down-edge)
+        down = np.flatnonzero(dist.take(key) > depth)
+        key = key.take(down)
+        parent = np.repeat(np.arange(front.size), counts).take(down)
+        dist[key] = depth + 1
+        paths = np.bincount(key, weights=sigma.take(front).take(parent), minlength=keys)
+        levels.append((front, parent, key))
+        front = np.flatnonzero(paths)
+        sigma[front] = paths.take(front)
+        depth += 1
+    delta = np.zeros(keys)
+    for front, parent, key in reversed(levels):
+        if key.size:
+            share = (1.0 + delta.take(key)) / sigma.take(key)
+            delta[front] = sigma.take(front) * np.bincount(parent, weights=share, minlength=front.size)
+    delta[np.arange(sources.size) * n + sources] = 0.0
+    return delta.reshape(sources.size, n).sum(0)
 
 
 def write_scores_csv(g: Graph, scores: CentralityScores, stream) -> None:

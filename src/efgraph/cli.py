@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
-    usage_error = _resolve_env_workers(args)
+    usage_error = _check_settings(args)
     manifest = {
         "tool": "efgraph",
         "version": __version__,
@@ -95,8 +95,13 @@ def main(argv=None) -> int:
     return rc
 
 
-def _resolve_env_workers(args: argparse.Namespace) -> str | None:
-    """Fill an unset --workers from EFGRAPH_WORKERS; return a usage error, if any."""
+def _check_settings(args: argparse.Namespace) -> str | None:
+    """Refuse counts below 1, fill an unset --workers from EFGRAPH_WORKERS; return a usage error, if any."""
+    for flag in ("workers", "chunk_size"):
+        value = getattr(args, flag, None)
+        values = value if isinstance(value, list) else [value]  # bench takes a list of worker counts
+        if value is not None and min(values, default=1) < 1:
+            return f"--{flag.replace('_', '-')} must be >= 1, got {value}"
     if not hasattr(args, "workers") or args.workers is not None:
         return None
     raw = os.environ.get("EFGRAPH_WORKERS", "1")

@@ -10,12 +10,10 @@ picks its forest parent uniformly among them.
 
 Runs are pure functions of (graph, params, config): the per-run RNG is
 seeded explicitly, and replicate batches derive per-replicate seeds as
-base_seed XOR replicate index, so batches are reproducible for any worker
-count.
+base_seed XOR replicate index, so batches are reproducible.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +27,7 @@ __all__ = [
     "calibrate",
     "run_sir",
     "run_replicates",
+    "descendant_counts",
     "spreading_power",
     "is_global_outbreak",
     "time_to_peak",
@@ -218,12 +217,17 @@ def run_replicates(
 ) -> list[SimOutcome]:
     """Run `reps` independent simulations, seeds derived as base_seed XOR replicate.
 
+    Replicates run serially, in replicate order: threads made batches slower
+    (0.73x at 2 threads on 2000 replicates of R-MAT s12 d8, 2-vCPU host): each
+    run is many small numpy calls that hold the interpreter lock. `workers`
+    is accepted for API compatibility and does not change the output.
     index_case=None draws a random non-immunized index per replicate from a
-    dedicated substream. Results are returned in replicate order, so output
-    does not depend on the worker count.
+    dedicated substream.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     immunized = frozenset(immunized)
     if index_case is None and len(immunized) >= g.n:
         raise ValueError("no non-immunized node available as index case")
@@ -240,31 +244,29 @@ def run_replicates(
                     break
         return run_sir(g, p, SimConfig(index_case=idx, immunized=immunized, rng_seed=seed))
 
-    if workers == 1 or reps == 1:
-        return [one(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(reps)))
+    return [one(r) for r in range(reps)]
 
 
-def _depth_counts(o: SimOutcome, max_depth: int = 4) -> dict[int, tuple[int, ...]]:
-    """Descendant counts within depth 1..max_depth per forest node (memoized)."""
-    memo = getattr(o, "_depth_counts_memo", None)
-    if memo is not None:
-        return memo
-    children: dict[int, list[int]] = {}
-    for node, par in o.parent.items():
-        if par is not None:
-            children.setdefault(par, []).append(node)
-    counts: dict[int, tuple[int, ...]] = {}
-    for node in sorted(o.parent, key=lambda x: o.infected_step[x], reverse=True):
-        ch = children.get(node, ())
-        acc = [len(ch)] * max_depth
-        for child in ch:
-            sub = counts[child]
-            for d in range(1, max_depth):
-                acc[d] += sub[d - 1]
-        counts[node] = tuple(acc)
-    o._depth_counts_memo = counts
+def descendant_counts(o: SimOutcome, max_depth: int = 4) -> np.ndarray:
+    """Forest descendants of every node within depth 1..max_depth, shape (max_depth, n).
+
+    Row d-1 holds, per node id, the number of forest nodes at most d
+    generations below it (0 for nodes never infected). Each depth is one
+    bincount over the forest edges: D_d[p] = sum over children c of
+    1 + D_{d-1}[c]. The sums are integers, so they are exact.
+    """
+    nodes = np.fromiter(o.parent, dtype=np.int64, count=len(o.parent))
+    parents = np.fromiter(
+        (-1 if par is None else par for par in o.parent.values()), dtype=np.int64, count=nodes.size
+    )
+    tree = parents >= 0
+    child = nodes[tree]
+    parent = parents[tree]
+    counts = np.zeros((max_depth, o.n))
+    below = np.zeros(o.n)
+    for d in range(max_depth):
+        below = np.bincount(parent, weights=1.0 + below[child], minlength=o.n)
+        counts[d] = below
     return counts
 
 
@@ -280,12 +282,11 @@ def spreading_power(outcomes, v: int, order: int, conditional: bool = False) -> 
     outcomes = list(outcomes)
     if not outcomes:
         raise ValueError("need at least one outcome")
-    total = 0
+    total = 0.0
     hit = 0
     for o in outcomes:
-        got = _depth_counts(o).get(v)
-        if got is not None:
-            total += got[order - 1]
+        if v in o.parent:
+            total += float(descendant_counts(o, order)[order - 1, v])
             hit += 1
     if conditional:
         return total / hit if hit else 0.0

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from efgraph import centrality
 from efgraph.centrality import betweenness, degree_centrality, pagerank
 from efgraph.graph import build_graph
 
@@ -100,6 +101,29 @@ class TestBetweenness:
         a = betweenness(g, workers=1).values
         b = betweenness(g, workers=4).values
         assert np.max(np.abs(a - b)) < 1e-9
+
+    def test_bitwise_equal_across_workers(self, monkeypatch):
+        g = build_graph(er_edges(60, 0.1, 90))
+        # a budget of 7 sources' entries cuts the sources into >= 4 blocks, the last one shorter
+        monkeypatch.setattr(centrality, "_ENTRY_BUDGET", 7 * 2 * g.m)
+        assert g.n // 7 >= 4 and g.n % 7 != 0
+        runs = [betweenness(g, workers=w).values for w in (1, 2, 3)]
+        assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(runs[0], runs[2])
+
+    def test_small_blocks_match_brute_force_disconnected(self, monkeypatch):
+        edges = (
+            er_edges(25, 0.15, 7)
+            + [(100 + u, 100 + v) for u, v in path_edges(6)]
+            + [(200 + u, 200 + v) for u, v in star_edges(4)]
+            + [(300, 301)]
+        )
+        g = build_graph(edges)
+        monkeypatch.setattr(centrality, "_ENTRY_BUDGET", 3 * 2 * g.m)  # blocks of 3 sources
+        oracle = brute_force_betweenness(adjacency(edges))
+        got = betweenness(g, workers=2).values
+        for dense in range(g.n):
+            assert got[dense] == pytest.approx(oracle[int(g.orig_ids[dense])], abs=1e-12)
 
     def test_cost_warning(self):
         g = build_graph(er_edges(40, 0.2, 2))

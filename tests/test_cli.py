@@ -264,3 +264,24 @@ class TestTopLevel:
         assert not out.exists()
         # an explicit --workers does not consult the environment
         assert _run("ef", "--input", inp, "--workers", 2, "--output", out) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ef", "--workers", 0),
+            ("ef", "--workers", -2),
+            ("ef", "--chunk-size", 0),
+            ("ef", "--chunk-size", -1),
+            ("centrality", "--metric", "betweenness", "--workers", 0),
+        ],
+    )
+    def test_bad_count_flag_is_usage_error(self, tmp_path, argv):
+        inp = tmp_path / "star.txt"
+        _write_star(inp)
+        out = tmp_path / "out.csv"
+        assert _run(*argv, "--input", inp, "--output", out) == 2
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error_type"] == "usage"
+        assert argv[-2] in manifest["error"]
+        assert not out.exists()

@@ -219,6 +219,37 @@ class TestSpreadingPower:
             values = [spreading_power(runs, v, d) for d in (1, 2, 3, 4)]
             assert values == sorted(values)
 
+    def test_deep_chains_match_dict_walk(self):
+        # chains deeper than 4 with side branches; the dict lists some children before their parents
+        forests = [
+            {0: None, 1: 0, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6, 8: 2, 9: 8, 10: 0},
+            {13: 12, 12: 11, 11: None, 14: 13, 15: 14, 16: 15, 17: 11, 18: 17, 19: 17, 3: 16},
+        ]
+
+        def walk(parent, v, order):
+            children = {}
+            for node, par in parent.items():
+                children.setdefault(par, []).append(node)
+            level, count = [v], 0
+            for _ in range(order):
+                level = [c for u in level for c in children.get(u, [])]
+                count += len(level)
+            return count
+
+        def generation(parent, node):
+            return 0 if parent[node] is None else 1 + generation(parent, parent[node])
+
+        outcomes = [
+            _forest_outcome(parent, {node: generation(parent, node) for node in parent}, n=20)
+            for parent in forests
+        ]
+        for v in range(20):
+            for order in (1, 2, 3, 4):
+                counts = [walk(parent, v, order) for parent in forests]
+                for o, count in zip(outcomes, counts):
+                    assert spreading_power([o], v, order) == count
+                assert spreading_power(outcomes, v, order) == sum(counts) / 2
+
     def test_errors(self):
         o = _forest_outcome({0: None}, {0: 0})
         with pytest.raises(ValueError):
