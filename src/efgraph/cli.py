@@ -360,10 +360,11 @@ def cmd_simulate(args, manifest) -> None:
         with open(args.forest_output, "w", encoding="utf-8") as fh:
             fh.write("replicate,node,parent\n")
             for rep, outcome in enumerate(runs):
-                for node in sorted(outcome.parent):
-                    par = outcome.parent[node]
-                    par_txt = "" if par is None else str(int(g.orig_ids[par]))
-                    fh.write(f"{rep},{int(g.orig_ids[node])},{par_txt}\n")
+                order = np.argsort(outcome.nodes)
+                nodes = g.orig_ids[outcome.nodes[order]].tolist()
+                parents = outcome.parents[order]
+                par_ids = np.where(parents >= 0, g.orig_ids[parents], -1).tolist()  # original ids are >= 0
+                fh.writelines(f"{rep},{v},{'' if par < 0 else par}\n" for v, par in zip(nodes, par_ids))
 
 
 def cmd_analyze(args, manifest) -> None:

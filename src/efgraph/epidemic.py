@@ -8,13 +8,19 @@ minimum infectious period is one full step and its expectation is 1/mu.
 A susceptible node reached by several successful attempts in the same step
 picks its forest parent uniformly among them.
 
-Runs are pure functions of (graph, params, config): the per-run RNG is
-seeded explicitly, and replicate batches derive per-replicate seeds as
-base_seed XOR replicate index, so batches are reproducible.
+Each replicate owns a generator seeded with base_seed XOR replicate index
+and reads it in a fixed order per step: one uniform per susceptible contact,
+one per newly infected node (parent pick), one per infectious node
+(recovery). One kernel advances a block of replicates in lockstep over flat
+keys r*n + v, each step one CSR gather for the whole block, so an outcome
+does not depend on its block; `run_sir` is a block of one. Outcomes are
+int32 arrays in infection order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,6 +43,7 @@ __all__ = [
 
 _SEED_MASK = (1 << 64) - 1
 _INDEX_STREAM = 0x1D  # substream tag for random index-case selection
+_REPLICATE_BUDGET = 1 << 18  # replicates x nodes held in one lockstep block
 
 
 @dataclass(frozen=True)
@@ -73,16 +80,19 @@ class SimOutcome:
     """One SIR run.
 
     series holds (S, I, R) counts per step including t=0; immunized nodes
-    sit in R from the start. parent maps every ever-infected node to its
-    infector (None for the index case). infected_step / recovered_step
-    record when each node entered and left the infectious state; a node
-    missing from recovered_step was still infectious at truncation.
+    sit in R from the start. The four int32 arrays list every ever-infected
+    node in infection order (by step, then node id; the index case first):
+    its infector in `parents` (-1 for the index case), the step it became
+    infected and the step it recovered (-1 if still infectious at
+    truncation). `parent`, `infected_step` and `recovered_step` are
+    read-only dict views of the same data.
     """
 
     series: np.ndarray
-    parent: dict[int, int | None]
-    infected_step: dict[int, int]
-    recovered_step: dict[int, int]
+    nodes: np.ndarray
+    parents: np.ndarray
+    infected_at: np.ndarray
+    recovered_at: np.ndarray
     direct_infections_by_index: int
     steps: int
     truncated: bool
@@ -92,7 +102,22 @@ class SimOutcome:
 
     @property
     def ever_infected(self) -> int:
-        return len(self.parent)
+        return int(self.nodes.size)
+
+    @cached_property
+    def parent(self) -> MappingProxyType:
+        pairs = zip(self.nodes.tolist(), self.parents.tolist())
+        return MappingProxyType({v: (None if par < 0 else par) for v, par in pairs})
+
+    @cached_property
+    def infected_step(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(self.nodes.tolist(), self.infected_at.tolist())))
+
+    @cached_property
+    def recovered_step(self) -> MappingProxyType:
+        done = np.flatnonzero(self.recovered_at >= 0)
+        done = done[np.lexsort((self.nodes[done], self.recovered_at[done]))]
+        return MappingProxyType(dict(zip(self.nodes[done].tolist(), self.recovered_at[done].tolist())))
 
 
 def calibrate(g: Graph, r0: float = 1.3, recovery_days: float = 3.0) -> SirParams:
@@ -116,94 +141,117 @@ def calibrate(g: Graph, r0: float = 1.3, recovery_days: float = 3.0) -> SirParam
     return SirParams(beta=beta, mu=1.0 / recovery_days, max_steps=max_steps)
 
 
-def _grouped_arange(counts: np.ndarray) -> np.ndarray:
-    total = int(counts.sum())
-    cum = np.cumsum(counts)
-    return np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
+def _simulate(g: Graph, p: SirParams, index_cases, seeds, immunized: frozenset) -> list[SimOutcome]:
+    """Validate, then run the replicates in lockstep blocks of max(1, _REPLICATE_BUDGET // n)."""
+    if g.n == 0:
+        raise ValueError("cannot simulate on an empty graph")
+    for node in immunized:
+        if not 0 <= node < g.n:
+            raise ValueError(f"immunized node {node} out of range")
+    for case in set(index_cases):
+        if not 0 <= case < g.n:
+            raise ValueError(f"index case {case} out of range")
+        if case in immunized:
+            raise ValueError("index case must not be immunized")
+    size = max(1, _REPLICATE_BUDGET // g.n)
+    outcomes = []
+    for lo in range(0, len(seeds), size):
+        outcomes += _run_block(g, p, index_cases[lo : lo + size], seeds[lo : lo + size], immunized)
+    return outcomes
+
+
+def _draw(rngs: list, sizes: np.ndarray) -> np.ndarray:
+    """sizes[r] uniforms from each replicate r's own stream, concatenated in replicate order."""
+    live = np.flatnonzero(sizes)
+    if live.size == 0:
+        return np.zeros(0)
+    return np.concatenate([rngs[r].random(k) for r, k in zip(live.tolist(), sizes[live].tolist())])
+
+
+def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: frozenset) -> list[SimOutcome]:
+    """Advance one replicate per seed in lockstep; outcome r equals a lone run of seeds[r].
+
+    Sources are located only for successful contacts, and each replicate's
+    S/I/R series is counted from its infection and recovery steps at the end.
+    """
+    n = g.n
+    block = len(seeds)
+    immune = len(immunized)
+    deg = g.degrees()
+    rngs = [np.random.default_rng(s) for s in seeds]
+    rows = np.arange(block, dtype=np.int64)
+    status = np.zeros((block, n), dtype=np.int8)  # 0=S 1=I 2=R
+    status[:, sorted(immunized)] = 2
+    status = status.ravel()
+    active = rows * n + np.asarray(index_cases, dtype=np.int64)  # sorted: one key per replicate
+    status[active] = 1
+    record = np.full((3, block * n), -1, dtype=np.int32)  # parent, infected_at, recovered_at
+    record[1, active] = 0
+    infected = [active]
+
+    step = 0
+    while active.size and step < p.max_steps:
+        step += 1
+        rep = active // n
+        node = active - rep * n
+        counts = deg[node]
+        ends = np.cumsum(counts)
+        a_stop = np.searchsorted(rep, rows + 1)  # per replicate: end of its keys, then of their contacts
+        e_stop = np.append(0, ends)[a_stop]
+        first = np.repeat(g.offsets[node] - ends + counts, counts)  # CSR start minus gather start
+        keys = g.neighbors[first + np.arange(ends[-1])] + np.repeat(rows * n, np.diff(e_stop, prepend=0))
+        cand_pos = np.flatnonzero(status[keys] == 0)
+        hit_pos = cand_pos[_draw(rngs, np.diff(np.searchsorted(cand_pos, e_stop), prepend=0)) < p.beta]
+        order = np.argsort(keys[hit_pos], kind="stable")
+        targets = keys[hit_pos[order]]
+        starts = np.flatnonzero(np.diff(targets, prepend=-1))
+        new = targets[starts]
+        sizes = np.diff(np.append(starts, targets.size))
+        u = _draw(rngs, np.bincount(new // n, minlength=block))
+        picks = starts + np.floor(u * sizes).astype(np.int64)
+        recov = _draw(rngs, np.diff(a_stop, prepend=0)) < p.mu
+
+        status[active[recov]] = 2
+        status[new] = 1
+        record[0, new] = node[np.searchsorted(ends, hit_pos[order[picks]], side="right")]
+        record[1, new] = step
+        record[2, active[recov]] = step
+        infected.append(new)
+        active = np.sort(np.concatenate([active[~recov], new]))
+
+    keys = np.concatenate(infected)
+    keys = keys[np.argsort(keys // n, kind="stable")]  # per replicate, in infection order
+    bounds = np.searchsorted(keys // n, np.arange(block + 1))
+    record = record[:, keys]
+    outcomes = []
+    for r, case in enumerate(index_cases):
+        parents, infected_at, recovered_at = record[:, bounds[r] : bounds[r + 1]]
+        truncated = bool(np.any(recovered_at < 0))
+        steps = p.max_steps if truncated else int(recovered_at.max())
+        infections = np.cumsum(np.bincount(infected_at, minlength=steps + 1))
+        recoveries = np.cumsum(np.bincount(recovered_at[recovered_at >= 0], minlength=steps + 1))
+        series = np.stack([n - immune - infections, infections - recoveries, immune + recoveries], axis=1)
+        outcomes.append(
+            SimOutcome(
+                series=series,
+                nodes=(keys[bounds[r] : bounds[r + 1]] - r * n).astype(np.int32),
+                parents=parents,
+                infected_at=infected_at,
+                recovered_at=recovered_at,
+                direct_infections_by_index=int(np.count_nonzero(parents == case)),
+                steps=steps,
+                truncated=truncated,
+                index_case=int(case),
+                immunized_count=immune,
+                n=n,
+            )
+        )
+    return outcomes
 
 
 def run_sir(g: Graph, p: SirParams, c: SimConfig) -> SimOutcome:
     """Run one simulation; deterministic for a fixed rng_seed."""
-    n = g.n
-    if n == 0:
-        raise ValueError("cannot simulate on an empty graph")
-    if not 0 <= c.index_case < n:
-        raise ValueError(f"index case {c.index_case} out of range")
-    for node in c.immunized:
-        if not 0 <= node < n:
-            raise ValueError(f"immunized node {node} out of range")
-
-    deg = g.degrees()
-    offsets = g.offsets
-    neighbors = g.neighbors
-
-    status = np.zeros(n, dtype=np.int8)  # 0=S 1=I 2=R
-    if c.immunized:
-        status[list(c.immunized)] = 2
-    status[c.index_case] = 1
-
-    rng = np.random.default_rng(c.rng_seed)
-    active = np.array([c.index_case], dtype=np.int64)
-    parent: dict[int, int | None] = {c.index_case: None}
-    infected_step: dict[int, int] = {c.index_case: 0}
-    recovered_step: dict[int, int] = {}
-    series = [(n - 1 - len(c.immunized), 1, len(c.immunized))]
-
-    steps = 0
-    while active.size and steps < p.max_steps:
-        steps += 1
-
-        counts = deg[active]
-        idx = np.repeat(offsets[active], counts) + _grouped_arange(counts)
-        nbrs = neighbors[idx].astype(np.int64)
-        srcs = np.repeat(active, counts)
-        sus = status[nbrs] == 0
-        cand_t = nbrs[sus]
-        cand_s = srcs[sus]
-
-        new_nodes = np.zeros(0, dtype=np.int64)
-        if cand_t.size:
-            hits = rng.random(cand_t.size) < p.beta
-            hit_t = cand_t[hits]
-            if hit_t.size:
-                order = np.argsort(hit_t, kind="stable")
-                ht = hit_t[order]
-                hs = cand_s[hits][order]
-                starts = np.flatnonzero(np.concatenate([[True], ht[1:] != ht[:-1]]))
-                sizes = np.diff(np.append(starts, ht.size))
-                picks = starts + np.floor(rng.random(starts.size) * sizes).astype(np.int64)
-                new_nodes = ht[starts]
-                new_parents = hs[picks]
-
-        recov = rng.random(active.size) < p.mu
-        for node in active[recov].tolist():
-            status[node] = 2
-            recovered_step[node] = steps
-
-        if new_nodes.size:
-            status[new_nodes] = 1
-            for node, par in zip(new_nodes.tolist(), new_parents.tolist()):
-                parent[node] = par
-                infected_step[node] = steps
-
-        active = np.sort(np.concatenate([active[~recov], new_nodes]))
-        s_count = int(np.count_nonzero(status == 0))
-        i_count = int(active.size)
-        series.append((s_count, i_count, n - s_count - i_count))
-
-    direct = sum(1 for par in parent.values() if par == c.index_case)
-    return SimOutcome(
-        series=np.asarray(series, dtype=np.int64),
-        parent=parent,
-        infected_step=infected_step,
-        recovered_step=recovered_step,
-        direct_infections_by_index=direct,
-        steps=steps,
-        truncated=bool(active.size),
-        index_case=c.index_case,
-        immunized_count=len(c.immunized),
-        n=n,
-    )
+    return _simulate(g, p, [c.index_case], [c.rng_seed], c.immunized)[0]
 
 
 def run_replicates(
@@ -217,12 +265,13 @@ def run_replicates(
 ) -> list[SimOutcome]:
     """Run `reps` independent simulations, seeds derived as base_seed XOR replicate.
 
-    Replicates run serially, in replicate order: threads made batches slower
-    (0.73x at 2 threads on 2000 replicates of R-MAT s12 d8, 2-vCPU host): each
-    run is many small numpy calls that hold the interpreter lock. `workers`
-    is accepted for API compatibility and does not change the output.
-    index_case=None draws a random non-immunized index per replicate from a
-    dedicated substream.
+    Replicates run in lockstep blocks of max(1, _REPLICATE_BUDGET // n), in
+    replicate order; outcome r is bitwise the lone `run_sir` with seed
+    base_seed XOR r, whatever the block size. index_case=None draws a random
+    non-immunized index per replicate from a dedicated substream.
+
+    Blocks run serially: threads over them gave 1.0-1.4x at 2 threads (2000
+    reps of R-MAT s12 d8, 2 vCPUs). `workers` is accepted and unused.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -231,20 +280,17 @@ def run_replicates(
     immunized = frozenset(immunized)
     if index_case is None and len(immunized) >= g.n:
         raise ValueError("no non-immunized node available as index case")
+    seeds = [(base_seed ^ rep) & _SEED_MASK for rep in range(reps)]
+    cases = [_random_index(g.n, immunized, s) if index_case is None else index_case for s in seeds]
+    return _simulate(g, p, cases, seeds, immunized)
 
-    def one(rep: int) -> SimOutcome:
-        seed = (base_seed ^ rep) & _SEED_MASK
-        idx = index_case
-        if idx is None:
-            pick = np.random.default_rng(np.random.SeedSequence([seed, _INDEX_STREAM]))
-            while True:
-                cand = int(pick.integers(0, g.n))
-                if cand not in immunized:
-                    idx = cand
-                    break
-        return run_sir(g, p, SimConfig(index_case=idx, immunized=immunized, rng_seed=seed))
 
-    return [one(r) for r in range(reps)]
+def _random_index(n: int, immunized: frozenset, seed: int) -> int:
+    pick = np.random.default_rng(np.random.SeedSequence([seed, _INDEX_STREAM]))
+    while True:
+        cand = int(pick.integers(0, n))
+        if cand not in immunized:
+            return cand
 
 
 def descendant_counts(o: SimOutcome, max_depth: int = 4) -> np.ndarray:
@@ -255,13 +301,9 @@ def descendant_counts(o: SimOutcome, max_depth: int = 4) -> np.ndarray:
     bincount over the forest edges: D_d[p] = sum over children c of
     1 + D_{d-1}[c]. The sums are integers, so they are exact.
     """
-    nodes = np.fromiter(o.parent, dtype=np.int64, count=len(o.parent))
-    parents = np.fromiter(
-        (-1 if par is None else par for par in o.parent.values()), dtype=np.int64, count=nodes.size
-    )
-    tree = parents >= 0
-    child = nodes[tree]
-    parent = parents[tree]
+    tree = o.parents >= 0
+    child = o.nodes[tree]
+    parent = o.parents[tree]
     counts = np.zeros((max_depth, o.n))
     below = np.zeros(o.n)
     for d in range(max_depth):
@@ -285,7 +327,7 @@ def spreading_power(outcomes, v: int, order: int, conditional: bool = False) -> 
     total = 0.0
     hit = 0
     for o in outcomes:
-        if v in o.parent:
+        if np.any(o.nodes == v):
             total += float(descendant_counts(o, order)[order - 1, v])
             hit += 1
     if conditional:

@@ -11,6 +11,7 @@ read-only across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import os
 
 import numpy as np
 
@@ -31,6 +32,7 @@ DEFAULT_RMAT_PROBS = (0.57, 0.19, 0.19, 0.05)
 _MAX_NODES = 2**31  # neighbor ids are stored as int32
 _MAX_SCALE = 31  # 2^scale node ids must fit int32
 _MAX_ORIG_ID = 2**63 - 1  # original ids are stored as int64
+_RMAT_BYTES_PER_EDGE = 256  # peak RSS per retained edge while sampling and building (~260 at s16-s17 d16)
 
 
 @dataclass
@@ -212,11 +214,19 @@ def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:
     matrix; self-loops are dropped and pairs deduplicated as undirected
     edges until floor(2^N * M / 2) distinct edges exist. The attempt cap is
     20x the target; hitting it returns whatever was accumulated with
-    truncated=True. Output is a pure function of params.
+    truncated=True. Output is a pure function of params. A target whose
+    memory estimate exceeds physical memory is refused before sampling.
     """
     a, b, c, _ = params.quadrant_probs
     side = 1 << params.scale
     target = (side * params.avg_degree) // 2
+    need = target * _RMAT_BYTES_PER_EDGE
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ValueError(
+            f"R-MAT target of {target} edges needs about {need / 2**30:.1f} GiB ({_RMAT_BYTES_PER_EDGE} "
+            f"bytes per edge), more than the {memory / 2**30:.1f} GiB of physical memory"
+        )
     cap = 20 * target
     rng = np.random.default_rng(params.seed)
     weights = (np.int64(1) << np.arange(params.scale - 1, -1, -1)).astype(np.int64)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 
@@ -49,6 +50,16 @@ class TestGenerate:
         manifest = json.loads((tmp_path / "g.txt.manifest.json").read_text())
         assert manifest["status"] == "error"
         assert "scale" in manifest["error"]
+        assert not out.exists()
+
+    def test_target_beyond_memory_rejected(self, tmp_path):
+        out = tmp_path / "g.txt"
+        started = time.perf_counter()
+        assert _run("generate", "--scale", 30, "--avg-degree", 16, "--output", out) == 1
+        assert time.perf_counter() - started < 5
+        manifest = json.loads((tmp_path / "g.txt.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "memory" in manifest["error"]
         assert not out.exists()
 
 
@@ -177,6 +188,27 @@ class TestSimulate:
         _write_star(inp)
         assert _run("simulate", "--input", inp, "--index", 42,
                     "--output", tmp_path / "r.ndjson") == 1
+
+
+def test_sir_outputs_pinned(tmp_path):
+    """SIR output bytes on R-MAT s10 d8 are fixed; digests recorded with the per-replicate kernel."""
+    inp = tmp_path / "g.txt"
+    assert _run("generate", "--scale", 10, "--avg-degree", 8, "--seed", 1, "--output", inp) == 0
+    assert _run("simulate", "--input", inp, "--reps", 200, "--seed", 5, "--output", tmp_path / "sim.ndjson",
+                "--forest-output", tmp_path / "forest.csv") == 0
+    for kind in ("immunization", "timing"):
+        assert _run("analyze", "--input", inp, "--kind", kind, "--reps", 40, "--seed", 3,
+                    "--output", tmp_path / kind) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("sim.ndjson", "forest.csv", "immunization.csv", "timing.csv")
+    }
+    assert digests == {
+        "sim.ndjson": "764951a78233f54a8515b1966d1ff23c5f304fa76ab202eb1c785d645356687c",
+        "forest.csv": "6f6edb92a776d646ed79c2fa2912de17dbb2c5bfff66ff7085f90b045eafc9dd",
+        "immunization.csv": "a8030600e1b9e5f9ed5306b8755c9d3af0df52ed4817ad21b8cf5e7c9cce45cc",
+        "timing.csv": "3a45ae22b794aafa3c491001281d7d53b4d1047306b2326234733be3549127fe",
+    }
 
 
 class TestAnalyze:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from efgraph import epidemic
 from efgraph.epidemic import (
     SimConfig,
     SimOutcome,
@@ -21,14 +22,15 @@ from oracles import adjacency, bfs_distances
 
 
 def _forest_outcome(parent, infected_step, n=10, index=None):
-    """Hand-built outcome for forest-only operations."""
+    """Hand-built outcome for forest-only operations; parent lists nodes in infection order."""
     if index is None:
         index = next(node for node, par in parent.items() if par is None)
     return SimOutcome(
         series=np.array([[n - 1, 1, 0], [n - len(parent), 0, len(parent)]]),
-        parent=parent,
-        infected_step=infected_step,
-        recovered_step={},
+        nodes=np.array(list(parent), dtype=np.int32),
+        parents=np.array([-1 if p is None else p for p in parent.values()], dtype=np.int32),
+        infected_at=np.array([infected_step[v] for v in parent], dtype=np.int32),
+        recovered_at=np.full(len(parent), -1, dtype=np.int32),
         direct_infections_by_index=sum(1 for p in parent.values() if p == index),
         steps=1,
         truncated=False,
@@ -138,6 +140,19 @@ class TestRunSir:
         assert a.parent == b.parent
         assert a.infected_step == b.infected_step
 
+    def test_dict_views_follow_arrays(self):
+        g = build_graph(er_edges(40, 0.15, 5))
+        o = run_sir(g, SirParams(beta=0.5, mu=0.5, max_steps=100), SimConfig(index_case=2, rng_seed=4))
+        assert list(o.parent) == o.nodes.tolist()
+        assert [-1 if p is None else p for p in o.parent.values()] == o.parents.tolist()
+        assert list(o.infected_step.values()) == o.infected_at.tolist()
+        assert sorted(o.recovered_step.items()) == sorted(
+            (v, t) for v, t in zip(o.nodes.tolist(), o.recovered_at.tolist()) if t >= 0
+        )
+        assert o.nodes.dtype == o.parents.dtype == o.infected_at.dtype == o.recovered_at.dtype == np.int32
+        with pytest.raises(TypeError):
+            o.parent[0] = 1
+
     def test_immunized_counted_in_r(self):
         g = build_graph(star_edges(5))
         o = run_sir(
@@ -183,6 +198,36 @@ class TestReplicates:
         immune = frozenset({0, 1, 2, 3})
         runs = run_replicates(g, SirParams(0.5, 0.5, 100), 8, base_seed=5, immunized=immune)
         assert all(o.index_case == 4 for o in runs)
+
+    @pytest.mark.parametrize(
+        "params, kwargs",
+        [
+            (SirParams(beta=0.5, mu=0.05, max_steps=3), {}),  # truncated
+            (SirParams(beta=0.3, mu=0.4, max_steps=1000), {"immunized": frozenset(range(0, 60, 4))}),
+            (SirParams(beta=0.0, mu=0.5, max_steps=1000), {"index_case": 7}),
+        ],
+        ids=["truncated", "immunized-random-index", "beta0"],
+    )
+    def test_block_size_invariant(self, monkeypatch, params, kwargs):
+        g = build_graph(er_edges(60, 0.1, 6))
+        reps = 10
+        runs = {}
+        for size in (1, 3, reps):
+            monkeypatch.setattr(epidemic, "_REPLICATE_BUDGET", size * g.n)
+            runs[size] = run_replicates(g, params, reps, base_seed=31, **kwargs)
+        assert any(o.truncated for o in runs[1]) == (params.max_steps == 3)
+        for size in (3, reps):
+            for a, b in zip(runs[1], runs[size]):
+                for name in ("series", "nodes", "parents", "infected_at", "recovered_at"):
+                    assert getattr(a, name).dtype == getattr(b, name).dtype
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
+                for name in ("steps", "truncated", "direct_infections_by_index", "index_case"):
+                    assert getattr(a, name) == getattr(b, name), name
+        for rep, o in enumerate(runs[1]):  # a block of one is run_sir
+            lone = run_sir(g, params, SimConfig(index_case=o.index_case,
+                                                immunized=kwargs.get("immunized", frozenset()),
+                                                rng_seed=31 ^ rep))
+            assert np.array_equal(lone.series, o.series) and np.array_equal(lone.parents, o.parents)
 
     def test_rejects_no_candidate(self):
         g = build_graph(complete_edges(3))

@@ -1,4 +1,5 @@
 import io
+import time
 
 import numpy as np
 import pytest
@@ -182,6 +183,12 @@ class TestRmat:
         for scale in (32, 40):
             with pytest.raises(ValueError, match="scale"):
                 RmatParams(scale=scale, avg_degree=1)
+
+    def test_target_beyond_memory_refused_before_sampling(self):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=r"8589934592 edges needs about 2048.0 GiB .* physical memory"):
+            generate_rmat(RmatParams(scale=30, avg_degree=16))
+        assert time.perf_counter() - started < 1
 
 
 class TestExport:
