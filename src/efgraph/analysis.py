@@ -25,7 +25,7 @@ import numpy as np
 
 from .epidemic import (
     SirParams,
-    descendant_counts,
+    descendant_sums,
     epidemic_length,
     is_global_outbreak,
     run_replicates,
@@ -103,16 +103,10 @@ def ef_bins(ef_result: EFResult, k: int = 10) -> list[EFBin]:
     return bins
 
 
-def _spreading_power_arrays(outcomes, n: int, orders=(1, 2, 3, 4)) -> dict[int, np.ndarray]:
-    """Mean depth-d descendant counts per node over the given outcomes."""
-    acc = {d: np.zeros(n) for d in orders}
-    for o in outcomes:
-        counts = descendant_counts(o, max(orders))
-        for d in orders:
-            acc[d] += counts[d - 1]
-    for d in orders:
-        acc[d] /= len(outcomes)
-    return acc
+def _spreading_power_arrays(outcomes: list, n: int, orders=(1, 2, 3, 4)) -> dict[int, np.ndarray]:
+    """Mean depth-d descendant counts per node over the given outcomes (zeros for none)."""
+    sums, _ = descendant_sums(outcomes, n, max(orders))
+    return {d: sums[d - 1] / max(len(outcomes), 1) for d in orders}
 
 
 def correlation_report(
@@ -145,11 +139,7 @@ def correlation_report(
     metrics: dict[str, np.ndarray] = {"exp_ef": np.exp(ef_result.ef)}
     for cs in others:
         metrics[cs.metric] = np.asarray(cs.values, dtype=np.float64)
-    sp = (
-        _spreading_power_arrays(global_runs, g.n, orders)
-        if global_runs
-        else {d: np.zeros(g.n) for d in orders}
-    )
+    sp = _spreading_power_arrays(global_runs, g.n, orders)
     for name, vals in metrics.items():
         for d in orders:
             try:

@@ -4,20 +4,21 @@ These serve as comparison metrics when evaluating how well Expected Force
 predicts epidemic behavior. Betweenness follows Brandes' algorithm with the
 unordered-pair convention (each {s, t} counted once, endpoints excluded, no
 normalization). It runs one multi-source pass per fixed block of sources,
-sized from the graph by one entry budget, and merges the block sums in
-block order, so its output is bitwise identical for any worker count.
-PageRank is plain power iteration on the undirected neighbor-averaging
-recurrence.
+sized from the graph by one entry budget; the blocks run on up to
+`workers` forked processes (`parallel_map`) and their sums merge in block
+order, so the output is bitwise identical for any worker count. PageRank
+is plain power iteration on the undirected neighbor-averaging recurrence.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 import warnings
 
 import numpy as np
 
 from .graph import Graph
+from .parallel import parallel_map
 
 __all__ = [
     "CentralityScores",
@@ -85,7 +86,7 @@ def betweenness(g: Graph, workers: int = 1, cost_budget: int = BETWEENNESS_COST_
     multi-source pass per block (see `_block_dependencies`). B comes from
     the graph alone and the block partials merge in block order, so the
     output is bitwise identical for any worker count; workers > 1 run
-    blocks on threads.
+    blocks on forked processes.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -102,13 +103,8 @@ def betweenness(g: Graph, workers: int = 1, cost_budget: int = BETWEENNESS_COST_
     block = max(1, _ENTRY_BUDGET // (2 * g.m))
     blocks = [np.arange(s, min(s + block, n), dtype=np.int64) for s in range(0, n, block)]
     total = np.zeros(n)
-    if workers == 1 or len(blocks) == 1:
-        for sources in blocks:
-            total += _block_dependencies(g, sources)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(lambda sources: _block_dependencies(g, sources), blocks):
-                total += part
+    for part in parallel_map(partial(_block_dependencies, g), blocks, workers):
+        total += part
     return CentralityScores(metric="betweenness", values=total / 2.0)
 
 

@@ -4,9 +4,9 @@ Subcommands: generate (R-MAT edge lists), ef (Expected Force scores),
 centrality (baseline metrics), simulate (SIR replicate batches), analyze
 (the four experiment kinds), bench (EF timing sweeps). Every command writes
 a JSON manifest next to its output (flags, graph fingerprint, per-phase
-timings, worker count), enough to re-run it byte-identically; data
-outputs are deterministic for a fixed seed. The manifest is written even
-when the command fails, with the error recorded.
+timings, worker count, usable cores), enough to re-run it byte-identically;
+data outputs are deterministic for a fixed seed. The manifest is written
+even when the command fails, with the error recorded.
 
 Exit codes: 0 success, 1 I/O or data error, 2 usage error.
 """
@@ -51,9 +51,10 @@ from .graph import (
     load_edge_list,
     write_edge_list,
 )
+from .parallel import usable_cores
 
 _MODE_NAMES = {"cluster": "cluster_centric", "vertex": "vertex_centric"}
-_WORKERS_HELP = "worker threads (default: $EFGRAPH_WORKERS, else 1)"
+_WORKERS_HELP = "worker processes, at most the usable cores (default: $EFGRAPH_WORKERS, else 1)"
 
 
 def main(argv=None) -> int:
@@ -72,6 +73,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "flags": _flag_dict(args),
         "workers": getattr(args, "workers", None),
+        "cores": usable_cores(),  # caps the processes that --workers may start
         "timings_ms": {},
         "status": "ok",
     }

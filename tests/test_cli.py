@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+import os
 import time
 
 import pytest
 
+from efgraph import centrality, epidemic
 from efgraph.cli import main
+from efgraph.parallel import usable_cores
 
 
 def _write_star(path, leaves=3):
@@ -157,6 +160,29 @@ class TestCentrality:
         assert rc == 0
         assert out.read_text().splitlines()[1] == "0,15"  # C(6,2) paths through the center
 
+    @pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores")
+    def test_dead_worker_is_an_error(self, tmp_path, monkeypatch, capsys):
+        test_pid = os.getpid()
+        real = centrality._block_dependencies
+
+        def dying(g, sources):
+            if os.getpid() != test_pid:  # only in a pool process, never in this one
+                os._exit(3)
+            return real(g, sources)
+
+        monkeypatch.setattr(centrality, "_block_dependencies", dying)
+        inp = tmp_path / "star.txt"
+        _write_star(inp, leaves=6)
+        monkeypatch.setattr(centrality, "_ENTRY_BUDGET", 2 * 6)  # one source per block: 7 blocks
+        out = tmp_path / "bc.csv"
+        assert _run("centrality", "--input", inp, "--metric", "betweenness", "--workers", 2,
+                    "--output", out) == 1
+        manifest = json.loads((tmp_path / "bc.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error_type"] == "BrokenProcessPool"
+        assert manifest["workers"] == 2 and manifest["cores"] == usable_cores()
+        assert "BrokenProcessPool" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_no_transmission_records(self, tmp_path):
@@ -198,6 +224,30 @@ def test_sir_outputs_pinned(tmp_path):
                 "--forest-output", tmp_path / "forest.csv") == 0
     for kind in ("immunization", "timing"):
         assert _run("analyze", "--input", inp, "--kind", kind, "--reps", 40, "--seed", 3,
+                    "--output", tmp_path / kind) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("sim.ndjson", "forest.csv", "immunization.csv", "timing.csv")
+    }
+    assert digests == {
+        "sim.ndjson": "764951a78233f54a8515b1966d1ff23c5f304fa76ab202eb1c785d645356687c",
+        "forest.csv": "6f6edb92a776d646ed79c2fa2912de17dbb2c5bfff66ff7085f90b045eafc9dd",
+        "immunization.csv": "a8030600e1b9e5f9ed5306b8755c9d3af0df52ed4817ad21b8cf5e7c9cce45cc",
+        "timing.csv": "3a45ae22b794aafa3c491001281d7d53b4d1047306b2326234733be3549127fe",
+    }
+
+
+@pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores")
+def test_sir_outputs_pinned_at_two_workers(tmp_path, monkeypatch):
+    """The pinned SIR bytes hold when replicate blocks run on two worker processes."""
+    inp = tmp_path / "g.txt"
+    assert _run("generate", "--scale", 10, "--avg-degree", 8, "--seed", 1, "--output", inp) == 0
+    nodes = json.loads((tmp_path / "g.txt.manifest.json").read_text())["graph"]["nodes"]
+    monkeypatch.setattr(epidemic, "_REPLICATE_BUDGET", 32 * nodes)  # 200 replicates: 7 blocks
+    assert _run("simulate", "--input", inp, "--reps", 200, "--seed", 5, "--workers", 2,
+                "--output", tmp_path / "sim.ndjson", "--forest-output", tmp_path / "forest.csv") == 0
+    for kind in ("immunization", "timing"):
+        assert _run("analyze", "--input", inp, "--kind", kind, "--reps", 40, "--seed", 3, "--workers", 2,
                     "--output", tmp_path / kind) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

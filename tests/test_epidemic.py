@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,22 @@ class TestReplicates:
                                                 immunized=kwargs.get("immunized", frozenset()),
                                                 rng_seed=31 ^ rep))
             assert np.array_equal(lone.series, o.series) and np.array_equal(lone.parents, o.parents)
+
+    def test_worker_count_invariant_over_blocks(self, monkeypatch):
+        g = build_graph(er_edges(60, 0.1, 6))
+        monkeypatch.setattr(epidemic, "_REPLICATE_BUDGET", 3 * g.n)  # 14 replicates: 5 blocks, last one short
+        params = SirParams(beta=0.3, mu=0.4, max_steps=1000)
+        runs = {w: run_replicates(g, params, 14, base_seed=17, immunized=frozenset({1, 2}), workers=w)
+                for w in (1, 2, 3)}
+        for w in (2, 3):
+            assert len(runs[w]) == 14
+            for a, b in zip(runs[1], runs[w]):
+                for f in dataclasses.fields(SimOutcome):
+                    x, y = getattr(a, f.name), getattr(b, f.name)
+                    if isinstance(x, np.ndarray):
+                        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+                    else:
+                        assert x == y, f.name
 
     def test_rejects_no_candidate(self):
         g = build_graph(complete_edges(3))
