@@ -14,10 +14,11 @@ Two interchangeable algorithms are provided:
   (middle credits), its neighbors' neighbor-degree counts (wing credits,
   equal-degree wings credited in one batch) and a correction for each
   triangle it belongs to, listed once by the degree-ordered forward
-  algorithm. Every cluster is still credited exactly once to each of its
-  three members. Nodes are processed in owner chunks whose dense histogram
-  bins are bounded by a fixed budget; each chunk turns its own nodes'
-  histograms into scores and drops them.
+  algorithm with a linear-probing hash table as the edge test. Every
+  cluster is still credited exactly once to each of its three members.
+  Nodes are processed in owner chunks whose dense histogram bins are
+  bounded by a fixed budget; each chunk reads its nonzero bins straight
+  into the entropy pass as (node, degree, count) rows and drops them.
 * vertex_centric: the original per-node formulation. Each node
   independently walks its own star pairs and 2-hop chains, rebuilding every
   shared cluster once per member. Kept as the reference baseline.
@@ -56,6 +57,7 @@ FLAG_NO_CLUSTERS = 1  # node participates in no cluster (e.g. isolated edge)
 FLAG_ZERO_DEGREE_CLUSTERS = 2  # clusters exist but all have degree 0
 
 _ENTRY_BUDGET = 1 << 18  # histogram entries plus dense bins held by one chunk or batch
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd, near 2^64 / golden ratio
 
 
 @dataclass
@@ -130,12 +132,8 @@ def ef(g: Graph, mode: str = "cluster_centric", workers: int = 1, chunk_size: in
 
 def write_ef_csv(g: Graph, result: EFResult, stream) -> None:
     """Write `node,ef,cluster_total` rows, original ids ascending, 9 significant digits."""
-    stream.write("node,ef,cluster_total\n")
-    orig = g.orig_ids
-    efv = result.ef
-    tot = result.cluster_total
-    for v in range(g.n):
-        stream.write(f"{int(orig[v])},{efv[v]:.9g},{int(tot[v])}\n")
+    rows = zip(g.orig_ids.tolist(), result.ef.tolist(), result.cluster_total.tolist())
+    stream.write("node,ef,cluster_total\n" + "".join([f"{v},{x:.9g},{c}\n" for v, x, c in rows]))
 
 
 # ----------------------------------------------------------------------
@@ -149,11 +147,13 @@ def ef_cluster_centric(g: Graph, workers: int = 1, chunk_size: int = 4096) -> EF
     Nodes are split into contiguous owner chunks, at most chunk_size nodes
     and one internal entry/bin budget each, run in order. A chunk builds
     the exact integer histograms of its own nodes from degree classes and
-    a shared triangle list, reduces them to scores, and drops them. Chunks
-    own disjoint nodes and each node's entropy sums run in a fixed order,
-    so the output is bitwise identical for any chunk_size. `workers` is
-    accepted and unused: processes over the chunks gave 1.0-1.3x at 2
-    workers on R-MAT s14 d16, as the kernel set-up runs before any chunk.
+    a shared triangle list (wedges tested against a hash table of the
+    edges), hands the nonzero bins to the entropy pass as rows, and drops
+    them. Chunks own disjoint nodes and each node's entropy sums run in a
+    fixed order, so the output is bitwise identical for any chunk_size.
+    `workers` is accepted and unused: processes over the chunks gave
+    1.0-1.3x at 2 workers on R-MAT s14 d16, as the kernel set-up runs
+    before any chunk.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -170,12 +170,6 @@ def ef_cluster_centric(g: Graph, workers: int = 1, chunk_size: int = 4096) -> EF
     for s, e in _budget_ranges(kernel.cost, _ENTRY_BUDGET, chunk_size):
         efv[s:e], mass[s:e], flags[s:e] = kernel.scores(s, e)
     return EFResult(ef=efv, cluster_total=mass, flags=flags, clusters_processed=cluster_count(g))
-
-
-def _key_span(deg: np.ndarray) -> int:
-    # cluster degree is < 3 * max_degree, so node*span + degree is injective
-    top = int(deg.max()) if deg.size else 0
-    return 3 * max(1, top) + 1
 
 
 def _budget_ranges(cost: np.ndarray, budget: int, max_len: int | None = None) -> list[tuple[int, int]]:
@@ -253,9 +247,9 @@ class _DegreeClassKernel:
         self.toff = toff
         self.t_lo = t_lo
         self.width = t_hi - t_lo + 1
+        self.log_table = _log_table(deg)
         wing = np.add.reduceat(self.slot_cost, starts)
         self.cost = nclass * (nclass + 1) // 2 + wing + 2 * np.diff(toff) + self.width
-        self.key_span = _key_span(deg)
 
     def scores(self, s: int, e: int):
         """(ef, cluster_total, flags) of owners s..e-1."""
@@ -267,10 +261,9 @@ class _DegreeClassKernel:
         bins = reduce(np.add, (np.bincount(i, weights=w, minlength=nbins) for i, w in batches))
         nz = np.flatnonzero(bins != 0)  # a bool mask scans ~5x faster than float
         per_owner = np.diff(np.searchsorted(nz, boff))
-        # key = owner * key_span + degree, with degree = d_x - 4 + t
-        shift = np.arange(e - s) * self.key_span - base + self.deg[s:e] - 4
-        keys = nz + np.repeat(shift, per_owner)
-        return _scores_from_histograms(e - s, self.key_span, keys, bins[nz].astype(np.int64))
+        nodes = np.repeat(np.arange(e - s), per_owner)
+        degs = nz - np.repeat(base - self.deg[s:e] + 4, per_owner)  # degree = d_x - 4 + t
+        return _scores_from_histograms(e - s, nodes, degs, bins[nz], self.log_table)
 
     def _credits(self, s, e, base):
         """Yield (bin index, count) batches holding every credit of owners s..e-1."""
@@ -328,22 +321,25 @@ def _triangle_member_keys(g: Graph, deg, owner, nbr, span: int):
     np.cumsum(np.bincount(fu, minlength=n), out=foff[1:])
     later = foff[fu + 1] - np.arange(fu.size) - 1  # forward slots after each slot
     und = owner < nbr
-    codes = owner[und] * np.int64(n) + nbr[und]  # sorted: CSR is node-major
+    table = _edge_table(owner[und] * np.int64(n) + nbr[und])
 
-    found = [np.zeros(0, dtype=np.int64)]
+    # a wedge closes at most one triangle, of 3 member keys; np.empty pages are
+    # committed only as written, so this bound costs address space, not memory
+    keys = np.empty(3 * int(later.sum()), dtype=np.int64)
+    k = 0
     for b0, b1 in _budget_ranges(later, _ENTRY_BUDGET):
         first = np.arange(b0, b1)
         wings = later[b0:b1]
         a = np.repeat(fv[first], wings)
         b = fv[_grouped_arange(first + 1, wings)]
-        code = a * np.int64(n) + b
-        pos = np.minimum(np.searchsorted(codes, code), codes.size - 1)
-        hit = codes[pos] == code
+        hit = _in_table(table, a * np.int64(n) + b)  # a < b: forward slots ascend
         tri = (np.repeat(fu[first], wings)[hit], a[hit], b[hit])
         total = deg[tri[0]] + deg[tri[1]] + deg[tri[2]]
-        found += [x * span + total - deg[x] for x in tri]
-    keys = np.concatenate(found)
-    del found
+        for x in tri:
+            keys[k : k + x.size] = x * span + total - deg[x]
+            k += x.size
+    del table
+    keys = keys[:k]
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
@@ -351,22 +347,57 @@ def _triangle_member_keys(g: Graph, deg, owner, nbr, span: int):
     return keys[starts], np.diff(starts, append=keys.size)
 
 
-def _scores_from_histograms(n, key_span, keys, counts):
-    """Shared entropy pass over canonically ordered (node, degree, count) rows.
+def _edge_table(codes: np.ndarray) -> np.ndarray:
+    """Linear-probing hash table of distinct nonnegative int64 codes, load <= 1/4; -1 marks empty slots.
 
-    All accumulation is np.bincount over the sorted rows, which sums
-    sequentially in input order, so results are reproducible bit-for-bit.
+    Vectorized insert rounds: one of the keys aiming at each free slot takes
+    it and the rest step on, so no key lies past an empty slot from home.
     """
-    nodes = keys // key_span
-    degs = keys % key_span
-    cf = counts.astype(np.float64)
-    df = degs.astype(np.float64)
+    table = np.full(1 << max(1, int(4 * codes.size - 1).bit_length()), -1, dtype=np.int64)
+    slot = _home_slots(codes, table.size)
+    while codes.size:
+        free = table[slot] < 0
+        table[slot[free]] = codes[free]
+        left = table[slot] != codes
+        codes, slot = codes[left], (slot[left] + 1) & (table.size - 1)
+    return table
+
+
+def _home_slots(keys: np.ndarray, size: int) -> np.ndarray:
+    """Multiplicative (Fibonacci) hash of int64 keys onto 0..size-1, size a power of two."""
+    return ((keys.view(np.uint64) * _HASH_MUL) >> np.uint64(65 - size.bit_length())).view(np.int64)
+
+
+def _in_table(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership of each key in an _edge_table: probe home slots at once, then the few that collided."""
+    slot = _home_slots(keys, table.size)
+    found = table[slot]
+    hit = found == keys
+    todo = np.flatnonzero((found >= 0) & ~hit)
+    while todo.size:
+        slot[todo] = (slot[todo] + 1) & (table.size - 1)
+        found = table[slot[todo]]
+        hit[todo] = found == keys[todo]
+        todo = todo[(found >= 0) & (found != keys[todo])]
+    return hit
+
+
+def _log_table(deg: np.ndarray) -> np.ndarray:
+    """log(d) for every cluster degree d in 0..3 * max(deg); d = 0 carries no mass and maps to 0."""
+    return np.log(np.arange(3 * int(deg.max()) + 1, dtype=np.float64).clip(1))
+
+
+def _scores_from_histograms(n, nodes, degs, counts, log_table):
+    """Shared entropy pass over (node, degree, count) rows, node-major, degrees ascending.
+
+    All accumulation is np.bincount over the rows, which sums sequentially
+    in input order, so results are reproducible bit-for-bit.
+    """
+    cf = np.asarray(counts, dtype=np.float64)
+    cd = cf * degs.astype(np.float64)
     mass = np.bincount(nodes, weights=cf, minlength=n)
-    t = np.bincount(nodes, weights=cf * df, minlength=n)
-    logd = np.zeros(degs.size)
-    pos = degs > 0
-    logd[pos] = np.log(df[pos])
-    w = np.bincount(nodes, weights=cf * df * logd, minlength=n)
+    t = np.bincount(nodes, weights=cd, minlength=n)
+    w = np.bincount(nodes, weights=cd * log_table[degs], minlength=n)
     efv = np.zeros(n)
     live = t > 0
     efv[live] = np.log(t[live]) - w[live] / t[live]
@@ -443,21 +474,9 @@ def ef_vertex_centric(g: Graph, workers: int = 1) -> EFResult:
         return [node_histogram(u) for u in block]
 
     blocks = [range(s, min(s + 64, g.n)) for s in range(0, g.n, 64)]
-    results = parallel_map(work, blocks, workers)
-
-    key_span = _key_span(g.degrees())
-    key_parts: list[int] = []
-    count_parts: list[int] = []
-    visits_total = 0
-    u = 0
-    for block in results:
-        for items, visits in block:
-            visits_total += visits
-            for d, c in items:
-                key_parts.append(u * key_span + d)
-                count_parts.append(c)
-            u += 1
-    keys = np.asarray(key_parts, dtype=np.int64)
-    counts = np.asarray(count_parts, dtype=np.int64)
-    efv, mass, flags = _scores_from_histograms(g.n, key_span, keys, counts)
+    hists = [h for block in parallel_map(work, blocks, workers) for h in block]
+    rows = np.array([(u, d, c) for u, (items, _) in enumerate(hists) for d, c in items], dtype=np.int64)
+    rows = rows.reshape(-1, 3)  # (node, degree, count)
+    efv, mass, flags = _scores_from_histograms(g.n, rows[:, 0], rows[:, 1], rows[:, 2], _log_table(g.degrees()))
+    visits_total = sum(visits for _, visits in hists)
     return EFResult(ef=efv, cluster_total=mass, flags=flags, clusters_processed=visits_total)

@@ -11,6 +11,7 @@ read-only across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import io
 import os
 
 import numpy as np
@@ -32,6 +33,7 @@ DEFAULT_RMAT_PROBS = (0.57, 0.19, 0.19, 0.05)
 _MAX_NODES = 2**31  # neighbor ids are stored as int32
 _MAX_SCALE = 31  # 2^scale node ids must fit int32
 _MAX_ORIG_ID = 2**63 - 1  # original ids are stored as int64
+_WRITE_ROWS = 1 << 16  # edges formatted per write, bounding the text held at once
 _RMAT_BYTES_PER_EDGE = 256  # peak RSS per retained edge while sampling and building (~260 at s16-s17 d16)
 
 
@@ -122,11 +124,16 @@ def load_edge_list(stream) -> np.ndarray:
     Lines starting with '#' or '%' are comments; blank lines are skipped.
     Each remaining line must carry at least two integer tokens in
     [0, 2^63 - 1]; extra tokens (e.g. weights) are ignored. Pairs are
-    returned in input order, duplicates and self-loops included.
+    returned in input order, duplicates and self-loops included. Text in
+    write_edge_list's format is parsed as one buffer, other text by line.
     """
+    text = stream.read()
+    pairs = _parse_plain_pairs(text)
+    if pairs is not None:
+        return pairs
     us: list[int] = []
     vs: list[int] = []
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
             continue
@@ -150,6 +157,33 @@ def load_edge_list(stream) -> np.ndarray:
     return out
 
 
+def _parse_plain_pairs(text: str) -> np.ndarray | None:
+    """Whole-buffer parse of text made only of newline-ended `<digits> <digits>` lines, else None.
+
+    Tokens of at most 18 digits cannot overflow int64. Anything else is
+    left to the line loop, which names the offending line.
+    """
+    if not text or not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    sep = np.flatnonzero((b - 48) > 9)  # uint8 wraps, so this is "not a digit"
+    runs = np.diff(sep, prepend=-1) - 1  # digit run before each separator
+    # every token is 1-18 digits, followed by a space and a newline in turn
+    if b[-1] != 10 or sep.size % 2 or runs.min() < 1 or runs.max() > 18:
+        return None
+    if (b[sep[0::2]] != 32).any() or (b[sep[1::2]] != 10).any():
+        return None
+    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) of a 1-d int array by sort and neighbor mask; numpy 2.4 hashes instead, ~50x slower."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def build_graph(edges) -> Graph:
     """Build a cleaned CSR graph from raw (u, v) pairs.
 
@@ -166,33 +200,30 @@ def build_graph(edges) -> Graph:
     if arr.shape[0] == 0:
         return _empty_graph()
 
-    orig_ids = np.unique(arr)
+    orig_ids = _sorted_unique(arr.ravel())
     n = int(orig_ids.size)
     if n >= _MAX_NODES:
         raise ValueError(f"graph too large: {n} nodes exceeds int32 id space")
     lo = np.searchsorted(orig_ids, np.minimum(arr[:, 0], arr[:, 1]))
     hi = np.searchsorted(orig_ids, np.maximum(arr[:, 0], arr[:, 1]))
-    codes = np.unique(lo * np.int64(n) + hi)
+    codes = _sorted_unique(lo * np.int64(n) + hi)
     m = int(codes.size)
-    lo = (codes // n).astype(np.int64)
-    hi = (codes % n).astype(np.int64)
 
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
+    # both directions as src * n + dst keys; one sort orders the CSR rows
+    keys = np.concatenate([codes, codes % n * n + codes // n])
+    keys.sort()
+    src = keys // n
+    dst = keys - src * n
 
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    relabeling = {int(o): i for i, o in enumerate(orig_ids)}
     return Graph(
         n=n,
         m=m,
         offsets=offsets,
         neighbors=dst.astype(np.int32),
         orig_ids=orig_ids,
-        relabeling=relabeling,
+        relabeling=dict(zip(orig_ids.tolist(), range(n))),
     )
 
 
@@ -231,10 +262,10 @@ def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:
     rng = np.random.default_rng(params.seed)
     weights = (np.int64(1) << np.arange(params.scale - 1, -1, -1)).astype(np.int64)
 
-    seen: set[int] = set()
+    seen = np.zeros(0, dtype=np.int64)  # sorted distinct codes kept so far
     attempts = 0
-    while len(seen) < target and attempts < cap:
-        need = target - len(seen)
+    while seen.size < target and attempts < cap:
+        need = target - seen.size
         batch = int(min(cap - attempts, max(1024, min(262144, 2 * need))))
         attempts += batch
         r = rng.random((batch, params.scale))
@@ -245,19 +276,13 @@ def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:
         mask = u != v
         lo = np.minimum(u[mask], v[mask])
         hi = np.maximum(u[mask], v[mask])
-        for code in (lo * np.int64(side) + hi).tolist():
-            seen.add(code)
-            if len(seen) == target:
-                break
+        codes = lo * np.int64(side) + hi
+        # the first `need` codes, in draw order, that are new to this batch and to `seen`
+        uniq, first = np.unique(codes, return_index=True)
+        first = np.sort(first[~np.isin(uniq, seen, assume_unique=True)])
+        seen = np.sort(np.concatenate([seen, codes[first[:need]]]))
 
-    truncated = len(seen) < target
-    if not seen:
-        return _empty_graph(), truncated
-    codes = np.fromiter(seen, dtype=np.int64, count=len(seen))
-    edges = np.empty((codes.size, 2), dtype=np.int64)
-    edges[:, 0] = codes // side
-    edges[:, 1] = codes % side
-    return build_graph(edges), truncated
+    return build_graph(np.stack([seen // side, seen % side], axis=1)), seen.size < target
 
 
 def cluster_count(g: Graph) -> int:
@@ -276,8 +301,10 @@ def write_edge_list(g: Graph, stream) -> None:
     relabeling is monotone in original ids, so iterating dense ids in order
     yields sorted output directly.
     """
-    for u in range(g.n):
-        ou = int(g.orig_ids[u])
-        for v in g.adjacency(u):
-            if v > u:
-                stream.write(f"{ou} {int(g.orig_ids[v])}\n")
+    src = np.repeat(np.arange(g.n), g.degrees())
+    up = g.neighbors > src
+    us = g.orig_ids[src[up]]
+    vs = g.orig_ids[g.neighbors[up]]
+    for s in range(0, us.size, _WRITE_ROWS):
+        rows = zip(us[s : s + _WRITE_ROWS].tolist(), vs[s : s + _WRITE_ROWS].tolist())
+        stream.write("".join([f"{u} {v}\n" for u, v in rows]))

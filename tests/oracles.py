@@ -61,6 +61,20 @@ def expected_force(adj: dict[int, set[int]]) -> dict[int, float]:
     return out
 
 
+def triangles(adj: dict[int, set[int]]) -> list[tuple[int, int, int]]:
+    """Every triangle once, as an ascending triple, by testing all node triples."""
+    nodes = sorted(adj)
+    out = []
+    for x in range(len(nodes)):
+        for y in range(x + 1, len(nodes)):
+            if nodes[y] not in adj[nodes[x]]:
+                continue
+            for z in range(y + 1, len(nodes)):
+                if nodes[z] in adj[nodes[x]] and nodes[z] in adj[nodes[y]]:
+                    out.append((nodes[x], nodes[y], nodes[z]))
+    return out
+
+
 def naive_cluster_count(adj: dict[int, set[int]]) -> int:
     """Middle-node triplets via a literal triple loop."""
     count = 0

@@ -261,6 +261,24 @@ def test_sir_outputs_pinned_at_two_workers(tmp_path, monkeypatch):
     }
 
 
+def test_generate_and_ef_outputs_pinned(tmp_path):
+    """Edge-list and ef.csv bytes are fixed; digests recorded before the vectorized parse, build and writers."""
+    runs = (("s10.txt", 10, 8, 1), ("s12.txt", 12, 16, 116))
+    for name, scale, degree, seed in runs:
+        assert _run("generate", "--scale", scale, "--avg-degree", degree, "--seed", seed,
+                    "--output", tmp_path / name) == 0
+    assert _run("ef", "--input", tmp_path / "s12.txt", "--mode", "cluster", "--output", tmp_path / "ef.csv") == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("s10.txt", "s12.txt", "ef.csv")
+    }
+    assert digests == {
+        "s10.txt": "f9b8f12ab98e8257ea823e34eefffabde5c99b7cd57a45224eec58b7feb48e51",
+        "s12.txt": "272261618b7dfad7bbfc2de6611d72b536b54ca640b41393f2653a71c894873b",
+        "ef.csv": "8aa7f56092dd0e90e80a2377e48a099e73e7158d6af24df33ebb219e4d0f4c72",
+    }
+
+
 class TestAnalyze:
     def test_seeding_rows(self, tmp_path):
         inp = tmp_path / "g.txt"

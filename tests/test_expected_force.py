@@ -18,7 +18,7 @@ from efgraph.expected_force import (
 from efgraph.graph import RmatParams, build_graph, cluster_count, generate_rmat
 
 from conftest import complete_edges, er_edges, path_edges, star_edges
-from oracles import adjacency, expected_force
+from oracles import adjacency, expected_force, triangles
 from test_acceptance import _mixed_random_graphs
 
 
@@ -221,6 +221,46 @@ class TestBitwiseEquivalence:
         for g, ref in zip(graphs, want):
             _assert_bitwise_equal(ef_cluster_centric(g), ref)
             _assert_bitwise_equal(ef_cluster_centric(g, workers=3, chunk_size=5), ref)
+
+
+def _triangle_cases():
+    rmat_hubs, _ = generate_rmat(RmatParams(scale=9, avg_degree=16, quadrant_probs=(0.65, 0.15, 0.15, 0.05), seed=5))
+    cases = [build_graph(er_edges(60, 0.15, seed)) for seed in range(3)]
+    cases += [build_graph(complete_edges(k)) for k in (3, 4, 9)]
+    cases += [rmat_hubs, build_graph(star_edges(6) + path_edges(4))]
+    return cases
+
+
+class TestTriangleKeys:
+    def test_matches_brute_force_triangles(self):
+        longest_chain = 0
+        for g in _triangle_cases():
+            deg = g.degrees()
+            owner = np.repeat(np.arange(g.n, dtype=np.int64), deg)
+            nbr = g.neighbors.astype(np.int64)
+            span = 2 * int(deg.max()) + 1
+            keys, counts = ef_module._triangle_member_keys(g, deg, owner, nbr, span)
+
+            edges = [(int(g.orig_ids[u]), int(g.orig_ids[v])) for u, v in zip(owner, nbr)]
+            want = {}
+            for tri in triangles(adjacency(edges)):
+                dense = [g.relabeling[x] for x in tri]
+                for x in dense:
+                    key = x * span + sum(int(deg[y]) for y in dense if y != x)
+                    want[key] = want.get(key, 0) + 1
+            assert keys.tolist() == sorted(want)
+            assert counts.tolist() == [want[k] for k in sorted(want)]
+
+            und = owner < nbr
+            codes = owner[und] * g.n + nbr[und]
+            table = ef_module._edge_table(codes)
+            stored = np.flatnonzero(table >= 0)
+            assert np.array_equal(np.sort(table[stored]), codes)
+            chain = (stored - ef_module._home_slots(table[stored], table.size)) % table.size + 1
+            longest_chain = max(longest_chain, int(chain.max()))
+            queries = np.arange(g.n * g.n, dtype=np.int64)
+            assert np.array_equal(ef_module._in_table(table, queries), np.isin(queries, codes))
+        assert longest_chain > 1  # linear probing past the home slot is exercised
 
 
 class TestMemoryBound:

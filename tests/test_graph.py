@@ -1,9 +1,11 @@
 import io
+import re
 import time
 
 import numpy as np
 import pytest
 
+from efgraph import graph as graph_module
 from efgraph.graph import (
     RmatParams,
     build_graph,
@@ -59,6 +61,55 @@ class TestLoadEdgeList:
         assert edges.tolist() == [[1, 0], [1, 0], [0, 0]]
 
 
+_LOOP_INPUTS = [
+    ("# c\n0 1\n", [[0, 1]]),
+    ("% c\n0 1\n", [[0, 1]]),
+    ("0 1\n\n2 3\n", [[0, 1], [2, 3]]),
+    ("0 1 0.5\n", [[0, 1]]),
+    ("0 1 2\n", [[0, 1]]),
+    ("0\t1\n", [[0, 1]]),
+    ("0  1\n", [[0, 1]]),
+    ("0 1\r\n2 3\r\n", [[0, 1], [2, 3]]),
+    (" 0 1\n", [[0, 1]]),
+    ("0 1 \n", [[0, 1]]),
+    ("0 1\n7\n", "line 2: expected at least 2 tokens, got 1"),
+    ("0 -2\n", "line 1: negative node id in (0, -2)"),
+    ("1234567890123456789 1\n", [[1234567890123456789, 1]]),
+    ("12345678901234567890 1\n",
+     "line 1: node id in (12345678901234567890, 1) exceeds the int64 maximum 9223372036854775807"),
+    ("0 1\n2 3", [[0, 1], [2, 3]]),
+    ("", []),
+]
+
+
+class TestParseFastPath:
+    def test_matches_line_loop_on_written_edge_lists(self):
+        rng = np.random.default_rng(3)
+        for seed in range(6):
+            edges = np.array(er_edges(80, 0.06, seed), dtype=np.int64)
+            ids = np.unique(rng.integers(0, 10 ** (3 * seed + 3), size=400))[:79]
+            ids = rng.permutation(np.append(ids, 10**18 - 1))  # 10**18 - 1: the widest fast-path token
+            buf = io.StringIO()
+            write_edge_list(build_graph(ids[edges]), buf)
+            text = buf.getvalue()
+            fast = graph_module._parse_plain_pairs(text)
+            assert fast is not None and fast.dtype == np.int64
+            loop = load_edge_list(io.StringIO("# a comment sends this through the line loop\n" + text))
+            assert np.array_equal(fast, loop)
+            assert np.array_equal(load_edge_list(io.StringIO(text)), loop)
+
+    @pytest.mark.parametrize("text,want", _LOOP_INPUTS)
+    def test_other_inputs_take_the_line_loop(self, text, want):
+        assert graph_module._parse_plain_pairs(text) is None
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                load_edge_list(io.StringIO(text))
+        else:
+            edges = load_edge_list(io.StringIO(text))
+            assert edges.dtype == np.int64 and edges.shape == (len(want), 2)
+            assert edges.tolist() == want
+
+
 class TestBuildGraph:
     def test_dedupe_and_self_loop_drop(self):
         g = build_graph([(0, 1), (1, 0), (2, 2)])
@@ -79,6 +130,19 @@ class TestBuildGraph:
     def test_empty_and_self_loop_only(self):
         assert build_graph([]).n == 0
         assert build_graph([(3, 3)]).n == 0
+
+    def test_csr_matches_oracle_adjacency(self):
+        for seed in range(4):
+            edges = [(3 * u + 10**12, 3 * v + 10**12) for u, v in er_edges(70, 0.1, seed)]
+            edges += edges[:5] + [(v, u) for u, v in edges[5:9]] + [(edges[0][0], edges[0][0])]
+            g = build_graph(edges)
+            adj = adjacency(edges)
+            assert g.orig_ids.tolist() == sorted(adj) and g.orig_ids.dtype == np.int64
+            assert (g.n, g.m) == (len(adj), sum(map(len, adj.values())) // 2)
+            assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int32
+            for v, o in enumerate(g.orig_ids.tolist()):
+                assert g.orig_ids[g.adjacency(v)].tolist() == sorted(adj[o])
+                assert g.relabeling[o] == v
 
     def test_isolated_nodes_absent(self):
         # node 7 appears only in a self-loop: dropped entirely
