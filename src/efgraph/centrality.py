@@ -4,7 +4,8 @@ These serve as comparison metrics when evaluating how well Expected Force
 predicts epidemic behavior. Betweenness follows Brandes' algorithm with the
 unordered-pair convention (each {s, t} counted once, endpoints excluded, no
 normalization). It runs one multi-source pass per fixed block of sources,
-sized from the graph by one entry budget; the blocks run on up to
+sized from the graph by one entry budget, and each BFS level expands the
+block's frontier with one `Graph.expand` gather; the blocks run on up to
 `workers` forked processes (`parallel_map`) and their sums merge in block
 order, so the output is bitwise identical for any worker count. PageRank
 is plain power iteration on the undirected neighbor-averaging recurrence.
@@ -112,17 +113,14 @@ def _block_dependencies(g: Graph, sources: np.ndarray) -> np.ndarray:
     """Summed Brandes dependencies of every node over one block of sources.
 
     The block's B searches share flat state arrays over keys b*n + v (source
-    b, node v). Each BFS level expands the whole block's frontier from the
-    CSR in one gather, marks the unseen keys, and adds sigma along the
+    b, node v). Each BFS level expands the whole block's frontier in one
+    `Graph.expand` call, marks the unseen keys, and adds sigma along the
     level's down-edges with one bincount; the down-edges are kept, and the
     backward pass walks them from the deepest level up, crediting each
     parent sigma[v] * sum over children w of (1 + delta[w]) / sigma[w].
     """
     n = g.n
     keys = sources.size * n
-    deg = g.degrees()
-    offsets = g.offsets
-    neighbors = g.neighbors
     dist = np.full(keys, _UNSEEN, dtype=np.int32)
     sigma = np.zeros(keys)
     front = np.arange(sources.size, dtype=np.int64) * n + sources
@@ -132,10 +130,9 @@ def _block_dependencies(g: Graph, sources: np.ndarray) -> np.ndarray:
     depth = 0
     while front.size:
         v = front % n
-        counts = deg[v]
-        cum = np.cumsum(counts)
-        idx = np.repeat(offsets[v] - (cum - counts), counts) + np.arange(int(cum[-1]))
-        key = np.repeat(front - v, counts) + neighbors.take(idx)
+        nbrs, ends = g.expand(v)
+        counts = np.diff(ends, prepend=0)
+        key = nbrs + np.repeat(front - v, counts)
         # dist > depth: unseen, or reached at depth + 1 through another parent (a down-edge)
         down = np.flatnonzero(dist.take(key) > depth)
         key = key.take(down)
@@ -157,8 +154,5 @@ def _block_dependencies(g: Graph, sources: np.ndarray) -> np.ndarray:
 
 def write_scores_csv(g: Graph, scores: CentralityScores, stream) -> None:
     """Write `node,<metric>` rows in original-id space, ids ascending."""
-    stream.write(f"node,{scores.metric}\n")
-    orig = g.orig_ids
-    vals = scores.values
-    for v in range(g.n):
-        stream.write(f"{int(orig[v])},{vals[v]:.12g}\n")
+    rows = zip(g.orig_ids.tolist(), scores.values.tolist())
+    stream.write(f"node,{scores.metric}\n" + "".join([f"{v},{x:.12g}\n" for v, x in rows]))

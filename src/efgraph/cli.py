@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import statistics
@@ -40,7 +41,7 @@ from .centrality import (
     pagerank,
     write_scores_csv,
 )
-from .epidemic import SirParams, calibrate, outcome_record, run_replicates
+from .epidemic import SirParams, calibrate, outcome_record, run_replicates, step_cap
 from .expected_force import ef as compute_ef, write_ef_csv
 from .graph import (
     DEFAULT_RMAT_PROBS,
@@ -98,12 +99,11 @@ def main(argv=None) -> int:
 
 
 def _check_settings(args: argparse.Namespace) -> str | None:
-    """Refuse counts below 1, fill an unset --workers from EFGRAPH_WORKERS; return a usage error, if any."""
-    for flag in ("workers", "chunk_size"):
-        value = getattr(args, flag, None)
-        values = value if isinstance(value, list) else [value]  # bench takes a list of worker counts
-        if value is not None and min(values, default=1) < 1:
-            return f"--{flag.replace('_', '-')} must be >= 1, got {value}"
+    """Refuse a worker count below 1, fill an unset --workers from EFGRAPH_WORKERS; return a usage error, if any."""
+    value = getattr(args, "workers", None)
+    values = value if isinstance(value, list) else [value]  # bench takes a list of worker counts
+    if value is not None and min(values, default=1) < 1:
+        return f"--workers must be >= 1, got {value}"
     if not hasattr(args, "workers") or args.workers is not None:
         return None
     raw = os.environ.get("EFGRAPH_WORKERS", "1")
@@ -141,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=sorted(_MODE_NAMES), default="cluster")
     p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
-    p.add_argument("--chunk-size", type=int, default=4096)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_ef, command="ef")
 
@@ -295,7 +294,7 @@ def cmd_ef(args, manifest) -> None:
     g = _load_graph(args.input, manifest)
     mode = _MODE_NAMES[args.mode]
     t0 = time.perf_counter()
-    result = compute_ef(g, mode=mode, workers=args.workers, chunk_size=args.chunk_size)
+    result = compute_ef(g, mode=mode, workers=args.workers)
     elapsed = _ms_since(t0)
     manifest["timings_ms"]["compute"] = elapsed
     manifest["time_to_solution_ms"] = elapsed
@@ -332,8 +331,7 @@ def cmd_centrality(args, manifest) -> None:
 
 def _sir_params(g: Graph, args) -> SirParams:
     if args.beta is not None and args.mu is not None:
-        max_steps = args.max_steps or int(min(max(10 * g.n, 100), 1_000_000))
-        return SirParams(beta=args.beta, mu=args.mu, max_steps=max_steps)
+        return SirParams(beta=args.beta, mu=args.mu, max_steps=args.max_steps or step_cap(g))
     p = calibrate(g, r0=args.r0, recovery_days=args.recovery_days)
     return SirParams(
         beta=args.beta if args.beta is not None else p.beta,
@@ -416,45 +414,25 @@ def cmd_bench(args, manifest) -> None:
     started = time.perf_counter()
     rows = []
     timed_out = False
-    for degree in args.degrees:
-        params = RmatParams(scale=args.scale, avg_degree=degree, seed=args.seed + degree)
-        g, _ = generate_rmat(params)
-        for mode in args.modes:
-            for workers in args.workers:
-                if args.timeout is not None and time.perf_counter() - started > args.timeout:
-                    timed_out = True
-                    break
-                times = []
-                processed = 0
-                for _ in range(args.repeats):
-                    t0 = time.perf_counter()
-                    result = compute_ef(g, mode=_MODE_NAMES[mode], workers=workers)
-                    times.append(_ms_since(t0))
-                    processed = result.clusters_processed
-                med = statistics.median(times)
-                rows.append(
-                    {
-                        "mode": mode,
-                        "scale": args.scale,
-                        "avg_degree": degree,
-                        "workers": workers,
-                        "time_ms": med,
-                        "clusters_per_ms": processed / med if med > 0 else None,
-                    }
-                )
-            if timed_out:
-                break
-        if timed_out:
+    graph_degree = None
+    for degree, mode, workers in itertools.product(args.degrees, args.modes, args.workers):
+        if degree != graph_degree:  # one graph per degree, generated before its first cell
+            g, _ = generate_rmat(RmatParams(scale=args.scale, avg_degree=degree, seed=args.seed + degree))
+            graph_degree = degree
+        if args.timeout is not None and time.perf_counter() - started > args.timeout:
+            timed_out = True
             break
+        times = []
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            result = compute_ef(g, mode=_MODE_NAMES[mode], workers=workers)
+            times.append(_ms_since(t0))
+        med = statistics.median(times)
+        rows.append(f"{mode},{args.scale},{degree},{workers},{med:.3f},{result.clusters_processed / med:.3f}\n")
     manifest["timed_out"] = timed_out
     manifest["cells"] = len(rows)
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("mode,scale,avg_degree,workers,time_ms,clusters_per_ms\n")
-        for row in rows:
-            fh.write(
-                f"{row['mode']},{row['scale']},{row['avg_degree']},{row['workers']},"
-                f"{row['time_ms']:.3f},{row['clusters_per_ms']:.3f}\n"
-            )
+        fh.write("mode,scale,avg_degree,workers,time_ms,clusters_per_ms\n" + "".join(rows))
 
 
 if __name__ == "__main__":

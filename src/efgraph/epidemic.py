@@ -12,11 +12,12 @@ Each replicate owns a generator seeded with base_seed XOR replicate index
 and reads it in a fixed order per step: one uniform per susceptible contact,
 one per newly infected node (parent pick), one per infectious node
 (recovery). One kernel advances a block of replicates in lockstep over flat
-keys r*n + v, each step one CSR gather for the whole block, so an outcome
-does not depend on its block; `run_sir` is a block of one. Blocks run on
-up to `workers` forked processes (`parallel_map`) and are concatenated in
-replicate order, so outcomes do not depend on the worker count either.
-Outcomes are int32 arrays in infection order.
+keys r*n + v, each step one `Graph.expand` gather of the whole block's
+infectious nodes, so an outcome does not depend on its block; `run_sir` is
+a block of one. Blocks run on up to `workers` forked processes
+(`parallel_map`) and are concatenated in replicate order, so outcomes do
+not depend on the worker count either. Outcomes are int32 arrays in
+infection order.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ __all__ = [
     "SimConfig",
     "SimOutcome",
     "calibrate",
+    "step_cap",
     "run_sir",
     "run_replicates",
     "descendant_counts",
@@ -141,8 +143,12 @@ def calibrate(g: Graph, r0: float = 1.3, recovery_days: float = 3.0) -> SirParam
         raise ValueError(
             f"calibration failed: beta={beta:.6g} > 1 (average degree {k:.4g} too small for r0={r0})"
         )
-    max_steps = int(min(max(10 * g.n, 100), 1_000_000))
-    return SirParams(beta=beta, mu=1.0 / recovery_days, max_steps=max_steps)
+    return SirParams(beta=beta, mu=1.0 / recovery_days, max_steps=step_cap(g))
+
+
+def step_cap(g: Graph) -> int:
+    """Default max_steps: ten steps per node, at least 100 and at most 1,000,000."""
+    return int(min(max(10 * g.n, 100), 1_000_000))
 
 
 def _simulate(g: Graph, p: SirParams, index_cases, seeds, immunized: frozenset, workers=1) -> list[SimOutcome]:
@@ -180,7 +186,6 @@ def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: frozenset)
     n = g.n
     block = len(seeds)
     immune = len(immunized)
-    deg = g.degrees()
     rngs = [np.random.default_rng(s) for s in seeds]
     rows = np.arange(block, dtype=np.int64)
     status = np.zeros((block, n), dtype=np.int8)  # 0=S 1=I 2=R
@@ -197,12 +202,10 @@ def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: frozenset)
         step += 1
         rep = active // n
         node = active - rep * n
-        counts = deg[node]
-        ends = np.cumsum(counts)
+        nbrs, ends = g.expand(node)
         a_stop = np.searchsorted(rep, rows + 1)  # per replicate: end of its keys, then of their contacts
         e_stop = np.append(0, ends)[a_stop]
-        first = np.repeat(g.offsets[node] - ends + counts, counts)  # CSR start minus gather start
-        keys = g.neighbors[first + np.arange(ends[-1])] + np.repeat(rows * n, np.diff(e_stop, prepend=0))
+        keys = nbrs + np.repeat(rows * n, np.diff(e_stop, prepend=0))
         cand_pos = np.flatnonzero(status[keys] == 0)
         hit_pos = cand_pos[_draw(rngs, np.diff(np.searchsorted(cand_pos, e_stop), prepend=0)) < p.beta]
         order = np.argsort(keys[hit_pos], kind="stable")

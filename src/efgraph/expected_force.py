@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .graph import Graph, cluster_count
+from .graph import Graph, cluster_count, grouped_arange
 from .parallel import parallel_map
 
 __all__ = [
@@ -121,10 +121,10 @@ def entropy_from_histogram(h) -> float:
     return math.log(total) - w / total
 
 
-def ef(g: Graph, mode: str = "cluster_centric", workers: int = 1, chunk_size: int = 4096) -> EFResult:
+def ef(g: Graph, mode: str = "cluster_centric", workers: int = 1) -> EFResult:
     """Dispatch to one of the two Expected Force algorithms."""
     if mode == "cluster_centric":
-        return ef_cluster_centric(g, workers=workers, chunk_size=chunk_size)
+        return ef_cluster_centric(g, workers=workers)
     if mode == "vertex_centric":
         return ef_vertex_centric(g, workers=workers)
     raise ValueError(f"unknown mode {mode!r}; expected cluster_centric or vertex_centric")
@@ -141,24 +141,22 @@ def write_ef_csv(g: Graph, result: EFResult, stream) -> None:
 # ----------------------------------------------------------------------
 
 
-def ef_cluster_centric(g: Graph, workers: int = 1, chunk_size: int = 4096) -> EFResult:
+def ef_cluster_centric(g: Graph, workers: int = 1) -> EFResult:
     """Expected Force via owner-local neighbor-degree-class histograms.
 
-    Nodes are split into contiguous owner chunks, at most chunk_size nodes
-    and one internal entry/bin budget each, run in order. A chunk builds
-    the exact integer histograms of its own nodes from degree classes and
-    a shared triangle list (wedges tested against a hash table of the
-    edges), hands the nonzero bins to the entropy pass as rows, and drops
-    them. Chunks own disjoint nodes and each node's entropy sums run in a
-    fixed order, so the output is bitwise identical for any chunk_size.
+    Nodes are split into contiguous owner chunks of one internal entry/bin
+    budget each, run in order. A chunk builds the exact integer histograms
+    of its own nodes from degree classes and a shared triangle list
+    (wedges tested against a hash table of the edges), hands the nonzero
+    bins to the entropy pass as rows, and drops them. Chunks own disjoint
+    nodes and each node's entropy sums run in a fixed order, so the output
+    is bitwise identical for any entry budget.
     `workers` is accepted and unused: processes over the chunks gave
     1.0-1.3x at 2 workers on R-MAT s14 d16, as the kernel set-up runs
     before any chunk.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     if g.n == 0:
         return _empty_result()
 
@@ -167,34 +165,26 @@ def ef_cluster_centric(g: Graph, workers: int = 1, chunk_size: int = 4096) -> EF
     mass = np.zeros(g.n, dtype=np.int64)
     flags = np.zeros(g.n, dtype=np.uint8)
 
-    for s, e in _budget_ranges(kernel.cost, _ENTRY_BUDGET, chunk_size):
+    for s, e in _budget_ranges(kernel.cost, _ENTRY_BUDGET):
         efv[s:e], mass[s:e], flags[s:e] = kernel.scores(s, e)
     return EFResult(ef=efv, cluster_total=mass, flags=flags, clusters_processed=cluster_count(g))
 
 
-def _budget_ranges(cost: np.ndarray, budget: int, max_len: int | None = None) -> list[tuple[int, int]]:
+def _budget_ranges(cost: np.ndarray, budget: int) -> list[tuple[int, int]]:
     """Split 0..len(cost) into contiguous ranges of total cost <= budget.
 
-    A range holds at most max_len items (if given) and at least one, so a
-    single item over budget forms a range of its own.
+    A range holds at least one item, so a single item over budget forms a
+    range of its own.
     """
-    max_len = max_len or cost.size
     cum = np.cumsum(cost)
     ranges = []
     s = 0
     while s < cost.size:
         before = int(cum[s - 1]) if s else 0
-        e = int(np.searchsorted(cum, before + budget, side="right"))
-        e = min(max(e, s + 1), s + max_len)
+        e = max(int(np.searchsorted(cum, before + budget, side="right")), s + 1)
         ranges.append((s, e))
         s = e
     return ranges
-
-
-def _grouped_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(starts[k], starts[k] + lengths[k]) over k."""
-    ends = np.cumsum(lengths)
-    return np.arange(int(ends[-1]) if ends.size else 0) - np.repeat(ends - lengths - starts, lengths)
 
 
 class _DegreeClassKernel:
@@ -271,8 +261,8 @@ class _DegreeClassKernel:
 
         p = np.arange(self.coff[s], self.coff[e])
         pairs = self.class_end[p] - p
-        q = _grouped_arange(p, pairs)
-        diag = np.cumsum(pairs) - pairs  # the a == b pair opens each class's run
+        q, ends = grouped_arange(p, pairs)
+        diag = ends - pairs  # the a == b pair opens each class's run
         mid_idx = np.repeat(base[self.cnode[p] - s] + cdeg[p], pairs) + cdeg[q]
         mid_w = np.repeat(2 * ccnt[p], pairs) * ccnt[q]
         mid_w[diag] = ccnt[p] * (ccnt[p] - 1)
@@ -292,7 +282,7 @@ class _DegreeClassKernel:
             v = self.nbr[o0 + b0 : o0 + b1]
             x = self.owner[o0 + b0 : o0 + b1]
             nclass = self.coff[v + 1] - self.coff[v]
-            cls = _grouped_arange(self.coff[v], nclass)
+            cls = grouped_arange(self.coff[v], nclass)[0]
             slot_base = base[x - s] + deg[v]
             idx_parts += [np.repeat(slot_base, nclass) + cdeg[cls], slot_base + deg[x]]
             w_parts += [ccnt[cls], np.full(v.size, -1.0)]
@@ -331,7 +321,7 @@ def _triangle_member_keys(g: Graph, deg, owner, nbr, span: int):
         first = np.arange(b0, b1)
         wings = later[b0:b1]
         a = np.repeat(fv[first], wings)
-        b = fv[_grouped_arange(first + 1, wings)]
+        b = fv[grouped_arange(first + 1, wings)[0]]
         hit = _in_table(table, a * np.int64(n) + b)  # a < b: forward slots ascend
         tri = (np.repeat(fu[first], wings)[hit], a[hit], b[hit])
         total = deg[tri[0]] + deg[tri[1]] + deg[tri[2]]

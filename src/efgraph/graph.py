@@ -24,6 +24,7 @@ __all__ = [
     "build_graph",
     "generate_rmat",
     "cluster_count",
+    "grouped_arange",
     "write_edge_list",
 ]
 
@@ -74,6 +75,12 @@ class Graph:
         """Sorted neighbor ids of v (read-only view)."""
         self._check_id(v)
         return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
+
+    def expand(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(neighbors, ends): the int32 adjacency lists of nodes concatenated in order, and the cumulative end of each."""
+        starts = self.offsets.take(nodes)
+        idx, ends = grouped_arange(starts, self.offsets.take(nodes + 1) - starts)
+        return self.neighbors.take(idx), ends
 
     def has_edge(self, u: int, v: int) -> bool:
         """Membership test via binary search on the lower-degree endpoint."""
@@ -174,6 +181,12 @@ def _parse_plain_pairs(text: str) -> np.ndarray | None:
     if (b[sep[0::2]] != 32).any() or (b[sep[1::2]] != 10).any():
         return None
     return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+
+
+def grouped_arange(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, ends): the concatenation of arange(starts[k], starts[k] + lengths[k]) over k, and cumsum(lengths)."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(int(ends[-1]) if ends.size else 0), ends
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from efgraph import centrality, epidemic
+from efgraph import centrality, cli, epidemic
 from efgraph.cli import main
 from efgraph.parallel import usable_cores
 
@@ -217,21 +217,22 @@ class TestSimulate:
 
 
 def test_sir_outputs_pinned(tmp_path):
-    """SIR output bytes on R-MAT s10 d8 are fixed; digests recorded with the per-replicate kernel."""
+    """SIR output bytes on R-MAT s10 d8 are fixed; digests recorded with the per-replicate kernel (seeding: before the shared CSR gather)."""
     inp = tmp_path / "g.txt"
     assert _run("generate", "--scale", 10, "--avg-degree", 8, "--seed", 1, "--output", inp) == 0
     assert _run("simulate", "--input", inp, "--reps", 200, "--seed", 5, "--output", tmp_path / "sim.ndjson",
                 "--forest-output", tmp_path / "forest.csv") == 0
-    for kind in ("immunization", "timing"):
+    for kind in ("seeding", "immunization", "timing"):
         assert _run("analyze", "--input", inp, "--kind", kind, "--reps", 40, "--seed", 3,
                     "--output", tmp_path / kind) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("sim.ndjson", "forest.csv", "immunization.csv", "timing.csv")
+        for name in ("sim.ndjson", "forest.csv", "seeding.csv", "immunization.csv", "timing.csv")
     }
     assert digests == {
         "sim.ndjson": "764951a78233f54a8515b1966d1ff23c5f304fa76ab202eb1c785d645356687c",
         "forest.csv": "6f6edb92a776d646ed79c2fa2912de17dbb2c5bfff66ff7085f90b045eafc9dd",
+        "seeding.csv": "1fa876b507130b921ce975bd19af5add0c17b5aa41fbb82887d171f95d8870c5",
         "immunization.csv": "a8030600e1b9e5f9ed5306b8755c9d3af0df52ed4817ad21b8cf5e7c9cce45cc",
         "timing.csv": "3a45ae22b794aafa3c491001281d7d53b4d1047306b2326234733be3549127fe",
     }
@@ -246,18 +247,36 @@ def test_sir_outputs_pinned_at_two_workers(tmp_path, monkeypatch):
     monkeypatch.setattr(epidemic, "_REPLICATE_BUDGET", 32 * nodes)  # 200 replicates: 7 blocks
     assert _run("simulate", "--input", inp, "--reps", 200, "--seed", 5, "--workers", 2,
                 "--output", tmp_path / "sim.ndjson", "--forest-output", tmp_path / "forest.csv") == 0
-    for kind in ("immunization", "timing"):
+    for kind in ("seeding", "immunization", "timing"):
         assert _run("analyze", "--input", inp, "--kind", kind, "--reps", 40, "--seed", 3, "--workers", 2,
                     "--output", tmp_path / kind) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("sim.ndjson", "forest.csv", "immunization.csv", "timing.csv")
+        for name in ("sim.ndjson", "forest.csv", "seeding.csv", "immunization.csv", "timing.csv")
     }
     assert digests == {
         "sim.ndjson": "764951a78233f54a8515b1966d1ff23c5f304fa76ab202eb1c785d645356687c",
         "forest.csv": "6f6edb92a776d646ed79c2fa2912de17dbb2c5bfff66ff7085f90b045eafc9dd",
+        "seeding.csv": "1fa876b507130b921ce975bd19af5add0c17b5aa41fbb82887d171f95d8870c5",
         "immunization.csv": "a8030600e1b9e5f9ed5306b8755c9d3af0df52ed4817ad21b8cf5e7c9cce45cc",
         "timing.csv": "3a45ae22b794aafa3c491001281d7d53b4d1047306b2326234733be3549127fe",
+    }
+
+
+def test_centrality_outputs_pinned(tmp_path):
+    """Baseline centrality CSV bytes on R-MAT s10 d8 are fixed; digests recorded before the shared CSR gather."""
+    inp = tmp_path / "g.txt"
+    assert _run("generate", "--scale", 10, "--avg-degree", 8, "--seed", 1, "--output", inp) == 0
+    for metric in ("degree", "pagerank", "betweenness"):
+        assert _run("centrality", "--input", inp, "--metric", metric, "--output", tmp_path / f"{metric}.csv") == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("degree.csv", "pagerank.csv", "betweenness.csv")
+    }
+    assert digests == {
+        "degree.csv": "a05fb7fd18e2945c4434a4367a5019f323c4e2041b57e1b1b55418e9cab91854",
+        "pagerank.csv": "069034bfe9aa05153dd78aea50402f997a2f33470c6f97fa8911d89d7dedad4e",
+        "betweenness.csv": "8a224e2751a3771f54dd604a8127ed4866820b4da35f823905eda0cd87191b42",
     }
 
 
@@ -326,6 +345,25 @@ class TestBench:
         manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
         assert manifest["timed_out"] is False
 
+    def test_cells_in_sweep_order_one_graph_per_degree(self, tmp_path, monkeypatch):
+        generated = []
+        real = cli.generate_rmat
+
+        def counting(params):
+            generated.append(params.avg_degree)
+            return real(params)
+
+        monkeypatch.setattr(cli, "generate_rmat", counting)
+        out = tmp_path / "bench.csv"
+        assert _run("bench", "--scale", 6, "--degrees", "2,4", "--workers", "1,2",
+                    "--modes", "cluster,vertex", "--repeats", 1, "--output", out) == 0
+        cells = [tuple(line.split(",")[:4]) for line in out.read_text().strip().splitlines()[1:]]
+        assert cells == [(mode, "6", str(degree), str(workers))
+                         for degree in (2, 4) for mode in ("cluster", "vertex") for workers in (1, 2)]
+        assert generated == [2, 4]
+        manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
+        assert manifest["timed_out"] is False and manifest["cells"] == 8
+
     def test_timeout_partial(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert _run("bench", "--scale", 8, "--degrees", "2,4,8", "--workers", "1",
@@ -370,8 +408,8 @@ class TestTopLevel:
         [
             ("ef", "--workers", 0),
             ("ef", "--workers", -2),
-            ("ef", "--chunk-size", 0),
-            ("ef", "--chunk-size", -1),
+            ("simulate", "--workers", 0),
+            ("analyze", "--kind", "correlation", "--workers", -1),
             ("centrality", "--metric", "betweenness", "--workers", 0),
         ],
     )

@@ -116,12 +116,13 @@ class TestModeEquivalence:
 
 
 class TestDeterminism:
-    def test_workers_and_chunks_bitwise(self):
+    def test_workers_and_chunks_bitwise(self, monkeypatch):
         g, _ = generate_rmat(RmatParams(scale=9, avg_degree=6, seed=5))
-        base = ef_cluster_centric(g, workers=1, chunk_size=4096)
-        for workers in (2, 4, 8):
-            for chunk in (1, 7, 100):
-                other = ef_cluster_centric(g, workers=workers, chunk_size=chunk)
+        base = ef_cluster_centric(g, workers=1)
+        for budget in (16, 97, 4096):  # the entry budget alone cuts the owner chunks
+            monkeypatch.setattr(ef_module, "_ENTRY_BUDGET", budget)
+            for workers in (2, 4, 8):
+                other = ef_cluster_centric(g, workers=workers)
                 assert np.array_equal(base.ef, other.ef)
                 assert np.array_equal(base.cluster_total, other.cluster_total)
 
@@ -134,8 +135,6 @@ class TestDeterminism:
         g = build_graph(path_edges(3))
         with pytest.raises(ValueError):
             ef_cluster_centric(g, workers=0)
-        with pytest.raises(ValueError):
-            ef_cluster_centric(g, chunk_size=0)
 
 
 class TestHistogramInvariants:
@@ -220,7 +219,7 @@ class TestBitwiseEquivalence:
         monkeypatch.setattr(ef_module, "_ENTRY_BUDGET", 16)
         for g, ref in zip(graphs, want):
             _assert_bitwise_equal(ef_cluster_centric(g), ref)
-            _assert_bitwise_equal(ef_cluster_centric(g, workers=3, chunk_size=5), ref)
+            _assert_bitwise_equal(ef_cluster_centric(g, workers=3), ref)
 
 
 def _triangle_cases():

@@ -11,6 +11,7 @@ from efgraph.graph import (
     build_graph,
     cluster_count,
     generate_rmat,
+    grouped_arange,
     load_edge_list,
     write_edge_list,
 )
@@ -185,6 +186,45 @@ class TestQueries:
             g.adjacency(-1)
         with pytest.raises(ValueError):
             g.has_edge(0, 99)
+
+
+class TestExpand:
+    @staticmethod
+    def _check(g, nodes):
+        nodes = np.asarray(nodes, dtype=np.int64)
+        nbrs, ends = g.expand(nodes)
+        want = [g.adjacency(int(v)) for v in nodes]
+        assert nbrs.dtype == g.neighbors.dtype
+        assert np.array_equal(nbrs, np.concatenate(want) if want else np.zeros(0, dtype=np.int32))
+        assert np.array_equal(ends, np.cumsum(g.degrees()[nodes]))
+        assert np.array_equal(ends, np.cumsum([a.size for a in want], dtype=np.int64))
+
+    def test_random_node_lists_with_repeats(self, rmat_10_8):
+        rng = np.random.default_rng(3)
+        for size in (1, 2, 17, 500, 3 * rmat_10_8.n):
+            self._check(rmat_10_8, rng.integers(0, rmat_10_8.n, size))
+        self._check(rmat_10_8, np.arange(rmat_10_8.n))
+        self._check(rmat_10_8, np.arange(rmat_10_8.n)[::-1])
+
+    def test_single_node_and_empty_input(self):
+        g = build_graph(star_edges(5) + path_edges(3))
+        for v in range(g.n):
+            self._check(g, [v])
+        nbrs, ends = g.expand(np.zeros(0, dtype=np.int64))
+        assert nbrs.size == 0 and ends.size == 0
+
+    def test_grouped_arange(self):
+        rng = np.random.default_rng(8)
+        starts = rng.integers(-50, 1000, 300)
+        lengths = rng.integers(0, 6, 300)  # zero-length groups included
+        want = np.concatenate([np.arange(s, s + k) for s, k in zip(starts, lengths)])
+        idx, ends = grouped_arange(starts, lengths)
+        assert np.array_equal(idx, want)
+        assert np.array_equal(ends, np.cumsum(lengths))
+        idx, ends = grouped_arange(np.array([4]), np.array([3]))
+        assert idx.tolist() == [4, 5, 6] and ends.tolist() == [3]
+        idx, ends = grouped_arange(np.zeros(0, np.int64), np.zeros(0, np.int64))
+        assert idx.size == 0 and ends.size == 0
 
 
 class TestClusterCount:
