@@ -27,6 +27,7 @@ from .epidemic import (
     is_global_outbreak,
     outcome_record,
     run_replicates,
+    run_scenarios,
     run_sir,
     spreading_power,
     time_to_peak,

@@ -12,7 +12,10 @@ Four experiment kinds, each returning a tabular ExperimentReport:
 * timing: time to epidemic peak and epidemic length per EF bin, over
   global outbreaks only.
 
-Reports are reproducible: all replicate seeds derive from the base seed.
+Reports are reproducible: all replicate seeds derive from the base seed,
+bin or scenario b on lane base_seed XOR b * 2^32. Each experiment makes one
+`run_scenarios` call, so all its bins run as one replicate plan on one
+worker pool, then folds the outcomes per bin.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .epidemic import (
     descendant_sums,
     epidemic_length,
     is_global_outbreak,
-    run_replicates,
+    run_scenarios,
     time_to_peak,
 )
 from .expected_force import EFResult
@@ -103,12 +106,6 @@ def ef_bins(ef_result: EFResult, k: int = 10) -> list[EFBin]:
     return bins
 
 
-def _spreading_power_arrays(outcomes: list, n: int, orders=(1, 2, 3, 4)) -> dict[int, np.ndarray]:
-    """Mean depth-d descendant counts per node over the given outcomes (zeros for none)."""
-    sums, _ = descendant_sums(outcomes, n, max(orders))
-    return {d: sums[d - 1] / max(len(outcomes), 1) for d in orders}
-
-
 def correlation_report(
     g: Graph,
     ef_result: EFResult,
@@ -139,11 +136,12 @@ def correlation_report(
     metrics: dict[str, np.ndarray] = {"exp_ef": np.exp(ef_result.ef)}
     for cs in others:
         metrics[cs.metric] = np.asarray(cs.values, dtype=np.float64)
-    sp = _spreading_power_arrays(global_runs, g.n, orders)
+    power, _ = descendant_sums(global_runs, g.n, max(orders))
+    power /= max(len(global_runs), 1)  # mean depth-d descendants per node, zeros for no runs
     for name, vals in metrics.items():
         for d in orders:
             try:
-                r = pearson(vals, sp[d])
+                r = pearson(vals, power[d - 1])
                 note = ""
             except ValueError as exc:
                 r = None
@@ -163,6 +161,23 @@ def correlation_report(
     )
 
 
+def _bin_runs(g: Graph, p: SirParams, bins, reps: int, base_seed: int, workers: int):
+    """Per EF bin: its leading row cells and the outcomes of `reps` runs from its representative.
+
+    All bins run as one plan, bin b seeded base_seed XOR b * _BIN_SEED_STRIDE.
+    """
+    scenarios = [(base_seed ^ (b * _BIN_SEED_STRIDE), ef_bin.representative, ()) for b, ef_bin in enumerate(bins)]
+    for b, (ef_bin, runs) in enumerate(zip(bins, run_scenarios(g, p, scenarios, reps, workers))):
+        cells = {
+            "bin": b,
+            "target_ef": ef_bin.target_ef,
+            "achieved_ef": ef_bin.achieved_ef,
+            "node": int(g.orig_ids[ef_bin.representative]),
+            "reps": reps,
+        }
+        yield cells, runs
+
+
 def seeding_experiment(
     g: Graph,
     p: SirParams,
@@ -173,27 +188,11 @@ def seeding_experiment(
     workers: int = 1,
 ) -> ExperimentReport:
     """Outbreak fraction and mean epidemic size per EF bin of the index case."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     rows = []
-    for b, ef_bin in enumerate(bins):
-        seed = base_seed ^ (b * _BIN_SEED_STRIDE)
-        runs = run_replicates(
-            g, p, reps, seed, index_case=ef_bin.representative, workers=workers
-        )
+    for cells, runs in _bin_runs(g, p, bins, reps, base_seed, workers):
         outbreaks = sum(is_global_outbreak(o, threshold) for o in runs)
         mean_size = float(np.mean([o.ever_infected / g.n for o in runs]))
-        rows.append(
-            {
-                "bin": b,
-                "target_ef": ef_bin.target_ef,
-                "achieved_ef": ef_bin.achieved_ef,
-                "node": int(g.orig_ids[ef_bin.representative]),
-                "reps": reps,
-                "outbreak_fraction": outbreaks / reps,
-                "mean_size": mean_size,
-            }
-        )
+        rows.append({**cells, "outbreak_fraction": outbreaks / reps, "mean_size": mean_size})
     return ExperimentReport(
         kind="seeding",
         rows=rows,
@@ -221,8 +220,8 @@ def immunization_experiment(
     """
     if not 0.0 < frac < 1.0:
         raise ValueError("frac must be in (0, 1)")
-    if scenarios < 1 or reps < 1:
-        raise ValueError("scenarios and reps must be >= 1")
+    if scenarios < 1:
+        raise ValueError("scenarios must be >= 1")
     n = g.n
     window = math.ceil(frac * n)
     if window > n - 1:
@@ -232,19 +231,17 @@ def immunization_experiment(
         starts = [0]
     else:
         starts = [round(i * (n - window) / (scenarios - 1)) for i in range(scenarios)]
+    windows = [order[start : start + window] for start in starts]
+    plan = [(base_seed ^ (sc * _BIN_SEED_STRIDE), None, chosen.tolist()) for sc, chosen in enumerate(windows)]
     rows = []
-    for sc, start in enumerate(starts):
-        chosen = order[start : start + window]
-        immunized = frozenset(int(v) for v in chosen)
-        seed = base_seed ^ (sc * _BIN_SEED_STRIDE)
-        runs = run_replicates(g, p, reps, seed, index_case=None, immunized=immunized, workers=workers)
+    for sc, runs in enumerate(run_scenarios(g, p, plan, reps, workers)):
         outbreaks = sum(is_global_outbreak(o, threshold) for o in runs)
         mean_size = float(np.mean([o.ever_infected / n for o in runs]))
         rows.append(
             {
                 "scenario": sc,
-                "window_start": start,
-                "mean_ef": float(np.mean(ef_result.ef[chosen])),
+                "window_start": starts[sc],
+                "mean_ef": float(np.mean(ef_result.ef[windows[sc]])),
                 "immunized": window,
                 "reps": reps,
                 "outbreak_fraction": outbreaks / reps,
@@ -273,14 +270,8 @@ def timing_report(
 
     Bins without a single global outbreak emit null cells.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     rows = []
-    for b, ef_bin in enumerate(bins):
-        seed = base_seed ^ (b * _BIN_SEED_STRIDE)
-        runs = run_replicates(
-            g, p, reps, seed, index_case=ef_bin.representative, workers=workers
-        )
+    for cells, runs in _bin_runs(g, p, bins, reps, base_seed, workers):
         global_runs = [o for o in runs if is_global_outbreak(o, threshold)]
         if global_runs:
             mean_peak = float(np.mean([time_to_peak(o) for o in global_runs]))
@@ -288,18 +279,8 @@ def timing_report(
         else:
             mean_peak = None
             mean_length = None
-        rows.append(
-            {
-                "bin": b,
-                "target_ef": ef_bin.target_ef,
-                "achieved_ef": ef_bin.achieved_ef,
-                "node": int(g.orig_ids[ef_bin.representative]),
-                "reps": reps,
-                "global_outbreaks": len(global_runs),
-                "mean_time_to_peak": mean_peak,
-                "mean_length": mean_length,
-            }
-        )
+        rows.append({**cells, "global_outbreaks": len(global_runs), "mean_time_to_peak": mean_peak,
+                     "mean_length": mean_length})
     return ExperimentReport(
         kind="timing",
         rows=rows,

@@ -330,13 +330,14 @@ def cmd_centrality(args, manifest) -> None:
 
 
 def _sir_params(g: Graph, args) -> SirParams:
+    cap = step_cap(g) if args.max_steps is None else args.max_steps  # an explicit 0 is refused, not replaced
     if args.beta is not None and args.mu is not None:
-        return SirParams(beta=args.beta, mu=args.mu, max_steps=args.max_steps or step_cap(g))
+        return SirParams(beta=args.beta, mu=args.mu, max_steps=cap)
     p = calibrate(g, r0=args.r0, recovery_days=args.recovery_days)
     return SirParams(
         beta=args.beta if args.beta is not None else p.beta,
         mu=args.mu if args.mu is not None else p.mu,
-        max_steps=args.max_steps or p.max_steps,
+        max_steps=cap,
     )
 
 

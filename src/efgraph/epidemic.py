@@ -14,10 +14,13 @@ one per newly infected node (parent pick), one per infectious node
 (recovery). One kernel advances a block of replicates in lockstep over flat
 keys r*n + v, each step one `Graph.expand` gather of the whole block's
 infectious nodes, so an outcome does not depend on its block; `run_sir` is
-a block of one. Blocks run on up to `workers` forked processes
-(`parallel_map`) and are concatenated in replicate order, so outcomes do
-not depend on the worker count either. Outcomes are int32 arrays in
-infection order.
+a block of one. `run_scenarios` concatenates the replicates of several
+scenarios (base seed, index case, immunized set) into one plan, so a batch
+experiment runs all its bins on one pool and a block may mix immunized sets
+row by row; `run_replicates` is its one-scenario call. Blocks run on up to
+`workers` forked processes (`parallel_map`) and are concatenated in plan
+order, so outcomes do not depend on the worker count either. Outcomes are
+int32 arrays in infection order.
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ __all__ = [
     "step_cap",
     "run_sir",
     "run_replicates",
+    "run_scenarios",
     "descendant_counts",
     "descendant_sums",
     "spreading_power",
@@ -151,21 +155,23 @@ def step_cap(g: Graph) -> int:
     return int(min(max(10 * g.n, 100), 1_000_000))
 
 
-def _simulate(g: Graph, p: SirParams, index_cases, seeds, immunized: frozenset, workers=1) -> list[SimOutcome]:
-    """Validate, then run the replicates in lockstep blocks of max(1, _REPLICATE_BUDGET // n)."""
+def _simulate(g: Graph, p: SirParams, index_cases, seeds, immunized: list, workers=1) -> list[SimOutcome]:
+    """Validate, then run the replicate rows (index_cases[r], seeds[r], immunized[r]) in lockstep blocks."""
     if g.n == 0:
         raise ValueError("cannot simulate on an empty graph")
-    for node in immunized:
-        if not 0 <= node < g.n:
-            raise ValueError(f"immunized node {node} out of range")
-    for case in set(index_cases):
+    for immune in dict.fromkeys(immunized):
+        for node in immune:
+            if not 0 <= node < g.n:
+                raise ValueError(f"immunized node {node} out of range")
+    for case, immune in dict.fromkeys(zip(index_cases, immunized)):
         if not 0 <= case < g.n:
             raise ValueError(f"index case {case} out of range")
-        if case in immunized:
+        if case in immune:
             raise ValueError("index case must not be immunized")
     size = max(1, _REPLICATE_BUDGET // g.n)
-    blocks = [(index_cases[lo : lo + size], seeds[lo : lo + size]) for lo in range(0, len(seeds), size)]
-    runs = parallel_map(lambda block: _run_block(g, p, *block, immunized), blocks, workers)
+    starts = range(0, len(seeds), size)
+    blocks = [(index_cases[lo : lo + size], seeds[lo : lo + size], immunized[lo : lo + size]) for lo in starts]
+    runs = parallel_map(lambda block: _run_block(g, p, *block), blocks, workers)
     return [o for run in runs for o in run]
 
 
@@ -177,19 +183,20 @@ def _draw(rngs: list, sizes: np.ndarray) -> np.ndarray:
     return np.concatenate([rngs[r].random(k) for r, k in zip(live.tolist(), sizes[live].tolist())])
 
 
-def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: frozenset) -> list[SimOutcome]:
-    """Advance one replicate per seed in lockstep; outcome r equals a lone run of seeds[r].
+def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: list) -> list[SimOutcome]:
+    """Advance one replicate per seed in lockstep; outcome r equals a lone run of seeds[r] and immunized[r].
 
     Sources are located only for successful contacts, and each replicate's
     S/I/R series is counted from its infection and recovery steps at the end.
     """
     n = g.n
     block = len(seeds)
-    immune = len(immunized)
     rngs = [np.random.default_rng(s) for s in seeds]
     rows = np.arange(block, dtype=np.int64)
     status = np.zeros((block, n), dtype=np.int8)  # 0=S 1=I 2=R
-    status[:, sorted(immunized)] = 2
+    immune = [len(s) for s in immunized]
+    for r in np.flatnonzero(immune):  # only rows that immunize anyone
+        status[r, list(immunized[r])] = 2
     status = status.ravel()
     active = rows * n + np.asarray(index_cases, dtype=np.int64)  # sorted: one key per replicate
     status[active] = 1
@@ -236,7 +243,7 @@ def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: frozenset)
         steps = p.max_steps if truncated else int(recovered_at.max())
         infections = np.cumsum(np.bincount(infected_at, minlength=steps + 1))
         recoveries = np.cumsum(np.bincount(recovered_at[recovered_at >= 0], minlength=steps + 1))
-        series = np.stack([n - immune - infections, infections - recoveries, immune + recoveries], axis=1)
+        series = np.stack([n - immune[r] - infections, infections - recoveries, immune[r] + recoveries], axis=1)
         outcomes.append(
             SimOutcome(
                 series=series,
@@ -248,7 +255,7 @@ def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: frozenset)
                 steps=steps,
                 truncated=truncated,
                 index_case=int(case),
-                immunized_count=immune,
+                immunized_count=immune[r],
                 n=n,
             )
         )
@@ -257,7 +264,7 @@ def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: frozenset)
 
 def run_sir(g: Graph, p: SirParams, c: SimConfig) -> SimOutcome:
     """Run one simulation; deterministic for a fixed rng_seed."""
-    return _simulate(g, p, [c.index_case], [c.rng_seed], c.immunized)[0]
+    return _simulate(g, p, [c.index_case], [c.rng_seed], [c.immunized])[0]
 
 
 def run_replicates(
@@ -269,26 +276,40 @@ def run_replicates(
     immunized=frozenset(),
     workers: int = 1,
 ) -> list[SimOutcome]:
-    """Run `reps` independent simulations, seeds derived as base_seed XOR replicate.
+    """Run `reps` simulations, the one-scenario call of `run_scenarios`.
 
-    Replicates run in lockstep blocks of max(1, _REPLICATE_BUDGET // n), in
-    replicate order; outcome r is bitwise the lone `run_sir` with seed
-    base_seed XOR r, whatever the block size. index_case=None draws a random
-    non-immunized index per replicate from a dedicated substream.
+    Outcome r is bitwise the lone `run_sir` with seed base_seed XOR r.
+    index_case=None draws a random non-immunized index per replicate from a
+    dedicated substream.
+    """
+    return run_scenarios(g, p, [(base_seed, index_case, immunized)], reps, workers)[0]
 
-    Blocks run on up to `workers` forked processes, capped at the usable
-    cores; the outcomes are the same for any worker count.
+
+def run_scenarios(g: Graph, p: SirParams, scenarios, reps: int, workers: int = 1) -> list[list[SimOutcome]]:
+    """Run `reps` replicates of each (base_seed, index_case | None, immunized) scenario as one plan.
+
+    Replicate r of a scenario has seed base_seed XOR r and the pinned index
+    case, or one drawn from that seed's substream among the non-immunized
+    nodes. The concatenated plan runs in lockstep blocks of
+    max(1, _REPLICATE_BUDGET // n) on up to `workers` forked processes,
+    capped at the usable cores; outcomes, one list per scenario, do not
+    depend on the block size or worker count.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    immunized = frozenset(immunized)
-    if index_case is None and len(immunized) >= g.n:
-        raise ValueError("no non-immunized node available as index case")
-    seeds = [(base_seed ^ rep) & _SEED_MASK for rep in range(reps)]
-    cases = [_random_index(g.n, immunized, s) if index_case is None else index_case for s in seeds]
-    return _simulate(g, p, cases, seeds, immunized, workers)
+    cases, seeds, sets = [], [], []
+    for base_seed, index_case, immunized in scenarios:
+        immunized = frozenset(immunized)
+        if index_case is None and len(immunized) >= g.n:
+            raise ValueError("no non-immunized node available as index case")
+        plan = [(base_seed ^ rep) & _SEED_MASK for rep in range(reps)]
+        cases += [_random_index(g.n, immunized, s) if index_case is None else index_case for s in plan]
+        seeds += plan
+        sets += [immunized] * reps
+    outcomes = _simulate(g, p, cases, seeds, sets, workers)
+    return [outcomes[lo : lo + reps] for lo in range(0, len(outcomes), reps)]
 
 
 def _random_index(n: int, immunized: frozenset, seed: int) -> int:

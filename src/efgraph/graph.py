@@ -10,9 +10,11 @@ read-only across workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import io
 import os
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,7 +51,8 @@ class Graph:
             neighbors[offsets[v]:offsets[v+1]], strictly ascending
         neighbors: int32 array of length 2m
         orig_ids: int64 array mapping dense id -> original id (ascending)
-        relabeling: dict mapping original id -> dense id
+        relabeling: read-only mapping original id -> dense id, built from
+            orig_ids on first use
     """
 
     n: int
@@ -57,7 +60,10 @@ class Graph:
     offsets: np.ndarray
     neighbors: np.ndarray
     orig_ids: np.ndarray
-    relabeling: dict[int, int] = field(repr=False)
+
+    @cached_property
+    def relabeling(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(self.orig_ids.tolist(), range(self.n))))
 
     def _check_id(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -230,25 +236,12 @@ def build_graph(edges) -> Graph:
 
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return Graph(
-        n=n,
-        m=m,
-        offsets=offsets,
-        neighbors=dst.astype(np.int32),
-        orig_ids=orig_ids,
-        relabeling=dict(zip(orig_ids.tolist(), range(n))),
-    )
+    return Graph(n=n, m=m, offsets=offsets, neighbors=dst.astype(np.int32), orig_ids=orig_ids)
 
 
 def _empty_graph() -> Graph:
-    return Graph(
-        n=0,
-        m=0,
-        offsets=np.zeros(1, dtype=np.int64),
-        neighbors=np.zeros(0, dtype=np.int32),
-        orig_ids=np.zeros(0, dtype=np.int64),
-        relabeling={},
-    )
+    return Graph(n=0, m=0, offsets=np.zeros(1, dtype=np.int64), neighbors=np.zeros(0, dtype=np.int32),
+                 orig_ids=np.zeros(0, dtype=np.int64))
 
 
 def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:

@@ -14,6 +14,7 @@ from efgraph.analysis import (
     write_report_csv,
     write_report_ndjson,
 )
+from efgraph import epidemic
 from efgraph.centrality import CentralityScores, degree_centrality
 from efgraph.epidemic import SirParams, calibrate, run_replicates
 from efgraph.expected_force import EFResult, ef_cluster_centric
@@ -93,10 +94,10 @@ class TestCorrelationReport:
 
     def test_self_metric_rows(self):
         g, efres, runs = self._setup()
-        from efgraph.analysis import _spreading_power_arrays
-        from efgraph.epidemic import is_global_outbreak
-        sp = _spreading_power_arrays([o for o in runs if is_global_outbreak(o)], g.n)
-        self_metric = CentralityScores(metric="self", values=sp[2])
+        from efgraph.epidemic import descendant_sums, is_global_outbreak
+        global_runs = [o for o in runs if is_global_outbreak(o)]
+        sums, _ = descendant_sums(global_runs, g.n)
+        self_metric = CentralityScores(metric="self", values=sums[1] / len(global_runs))
         report = correlation_report(g, efres, [self_metric], runs, min_global=1)
         row = next(r for r in report.rows if r["metric"] == "self" and r["order"] == 2)
         assert row["pearson_r"] == pytest.approx(1.0, abs=1e-12)
@@ -210,6 +211,27 @@ class TestTiming:
             assert row["global_outbreaks"] == 0
             assert row["mean_time_to_peak"] is None
             assert row["mean_length"] is None
+
+
+@pytest.mark.parametrize("kind", ["seeding", "timing", "immunization"])
+def test_one_pool_map_per_bin_experiment(monkeypatch, kind):
+    g = build_graph(er_edges(50, 0.12, 16))
+    p = calibrate(g)
+    efres = ef_cluster_centric(g)
+    calls = []
+
+    def counting_map(fn, tasks, workers):
+        calls.append(workers)
+        return map(fn, tasks)
+
+    monkeypatch.setattr(epidemic, "parallel_map", counting_map)
+    if kind == "immunization":
+        report = immunization_experiment(g, p, efres, frac=0.1, scenarios=4, reps=6, base_seed=3, workers=2)
+    else:
+        run = seeding_experiment if kind == "seeding" else timing_report
+        report = run(g, p, ef_bins(efres, k=4), reps=6, base_seed=3, workers=2)
+    assert len(report.rows) == 4
+    assert calls == [2]
 
 
 class TestSerialization:

@@ -216,8 +216,20 @@ class TestSimulate:
                     "--output", tmp_path / "r.ndjson") == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_zero_max_steps_is_refused(tmp_path, command):
+    inp = tmp_path / "star.txt"
+    _write_star(inp)
+    out = tmp_path / "out"
+    extra = ["--kind", "seeding", "--bins", 2] if command == "analyze" else []
+    assert _run(command, "--input", inp, *extra, "--beta", 0.5, "--mu", 0.5, "--max-steps", 0, "--output", out) == 1
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"] == "max_steps must be >= 1"
+
+
 def test_sir_outputs_pinned(tmp_path):
-    """SIR output bytes on R-MAT s10 d8 are fixed; digests recorded with the per-replicate kernel (seeding: before the shared CSR gather)."""
+    """SIR output bytes on R-MAT s10 d8 are fixed; digests recorded with the per-replicate kernel (seeding: before the shared CSR gather; correlation: before the one-plan scenario runner)."""
     inp = tmp_path / "g.txt"
     assert _run("generate", "--scale", 10, "--avg-degree", 8, "--seed", 1, "--output", inp) == 0
     assert _run("simulate", "--input", inp, "--reps", 200, "--seed", 5, "--output", tmp_path / "sim.ndjson",
@@ -225,9 +237,12 @@ def test_sir_outputs_pinned(tmp_path):
     for kind in ("seeding", "immunization", "timing"):
         assert _run("analyze", "--input", inp, "--kind", kind, "--reps", 40, "--seed", 3,
                     "--output", tmp_path / kind) == 0
+    assert _run("analyze", "--input", inp, "--kind", "correlation", "--reps", 200, "--seed", 3, "--min-global", 1,
+                "--output", tmp_path / "correlation") == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("sim.ndjson", "forest.csv", "seeding.csv", "immunization.csv", "timing.csv")
+        for name in ("sim.ndjson", "forest.csv", "seeding.csv", "immunization.csv", "timing.csv",
+                     "correlation.csv", "correlation.ndjson")
     }
     assert digests == {
         "sim.ndjson": "764951a78233f54a8515b1966d1ff23c5f304fa76ab202eb1c785d645356687c",
@@ -235,6 +250,8 @@ def test_sir_outputs_pinned(tmp_path):
         "seeding.csv": "1fa876b507130b921ce975bd19af5add0c17b5aa41fbb82887d171f95d8870c5",
         "immunization.csv": "a8030600e1b9e5f9ed5306b8755c9d3af0df52ed4817ad21b8cf5e7c9cce45cc",
         "timing.csv": "3a45ae22b794aafa3c491001281d7d53b4d1047306b2326234733be3549127fe",
+        "correlation.csv": "297e73639d8770ab0389a1235ffc330d6c9551ffef3180e35d9d661c63b201ef",
+        "correlation.ndjson": "acfcf7a90393695effe05de5c096731e5939d4ce7f2a0f0e3d3a6f4e975d367a",
     }
 
 
@@ -250,9 +267,12 @@ def test_sir_outputs_pinned_at_two_workers(tmp_path, monkeypatch):
     for kind in ("seeding", "immunization", "timing"):
         assert _run("analyze", "--input", inp, "--kind", kind, "--reps", 40, "--seed", 3, "--workers", 2,
                     "--output", tmp_path / kind) == 0
+    assert _run("analyze", "--input", inp, "--kind", "correlation", "--reps", 200, "--seed", 3, "--min-global", 1,
+                "--workers", 2, "--output", tmp_path / "correlation") == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("sim.ndjson", "forest.csv", "seeding.csv", "immunization.csv", "timing.csv")
+        for name in ("sim.ndjson", "forest.csv", "seeding.csv", "immunization.csv", "timing.csv",
+                     "correlation.csv", "correlation.ndjson")
     }
     assert digests == {
         "sim.ndjson": "764951a78233f54a8515b1966d1ff23c5f304fa76ab202eb1c785d645356687c",
@@ -260,6 +280,8 @@ def test_sir_outputs_pinned_at_two_workers(tmp_path, monkeypatch):
         "seeding.csv": "1fa876b507130b921ce975bd19af5add0c17b5aa41fbb82887d171f95d8870c5",
         "immunization.csv": "a8030600e1b9e5f9ed5306b8755c9d3af0df52ed4817ad21b8cf5e7c9cce45cc",
         "timing.csv": "3a45ae22b794aafa3c491001281d7d53b4d1047306b2326234733be3549127fe",
+        "correlation.csv": "297e73639d8770ab0389a1235ffc330d6c9551ffef3180e35d9d661c63b201ef",
+        "correlation.ndjson": "acfcf7a90393695effe05de5c096731e5939d4ce7f2a0f0e3d3a6f4e975d367a",
     }
 
 

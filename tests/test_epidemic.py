@@ -13,6 +13,7 @@ from efgraph.epidemic import (
     is_global_outbreak,
     outcome_record,
     run_replicates,
+    run_scenarios,
     run_sir,
     spreading_power,
     time_to_peak,
@@ -251,6 +252,39 @@ class TestReplicates:
         g = build_graph(complete_edges(3))
         with pytest.raises(ValueError):
             run_replicates(g, SirParams(0.5, 0.5, 10), 2, base_seed=0, immunized=frozenset({0, 1, 2}))
+
+
+class TestScenarios:
+    def test_equals_one_run_replicates_per_scenario(self, monkeypatch):
+        g = build_graph(er_edges(60, 0.1, 6))
+        monkeypatch.setattr(epidemic, "_REPLICATE_BUDGET", 3 * g.n)  # 4 scenarios x 5 reps: blocks span scenarios
+        params = SirParams(beta=0.3, mu=0.4, max_steps=1000)
+        scenarios = [
+            (11, 7, ()),  # pinned index
+            (12, None, ()),  # random index
+            (13, None, frozenset(range(0, 12))),  # two different immunized windows
+            (14, 40, frozenset(range(20, 32))),
+        ]
+        together = run_scenarios(g, params, scenarios, 5, workers=2)
+        assert len(together) == len(scenarios)
+        for (seed, index, immunized), runs in zip(scenarios, together):
+            alone = run_replicates(g, params, 5, seed, index_case=index, immunized=immunized)
+            assert len(runs) == len(alone) == 5
+            for a, b in zip(alone, runs):
+                for name in ("nodes", "parents", "infected_at", "recovered_at", "series"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype and np.array_equal(x, y), name
+                assert a.immunized_count == b.immunized_count == len(immunized)
+                assert a.index_case == b.index_case
+
+    def test_index_immunized_only_in_its_own_scenario_raises(self):
+        g = build_graph(cycle_edges(8))
+        params = SirParams(beta=0.5, mu=0.5, max_steps=20)
+        with pytest.raises(ValueError, match="index case must not be immunized"):
+            run_scenarios(g, params, [(1, 3, ()), (2, 3, {3, 4})], 2)
+        runs = run_scenarios(g, params, [(1, 3, ()), (2, 4, {3})], 2)  # 3 is pinned in one, immunized in the other
+        assert [o.index_case for o in runs[0]] == [3, 3] and [o.index_case for o in runs[1]] == [4, 4]
+        assert [o.immunized_count for o in runs[0] + runs[1]] == [0, 0, 1, 1]
 
 
 class TestSpreadingPower:
