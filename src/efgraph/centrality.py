@@ -5,7 +5,7 @@ predicts epidemic behavior. Betweenness follows Brandes' algorithm with the
 unordered-pair convention (each {s, t} counted once, endpoints excluded, no
 normalization). It runs one multi-source pass per fixed block of sources,
 sized from the graph by one entry budget, and each BFS level expands the
-block's frontier with one `Graph.expand` gather; the blocks run on up to
+block's frontier keys with one `Graph.expand` gather; the blocks run on up to
 `workers` forked processes (`parallel_map`) and their sums merge in block
 order, so the output is bitwise identical for any worker count. PageRank
 is plain power iteration on the undirected neighbor-averaging recurrence.
@@ -113,10 +113,10 @@ def _block_dependencies(g: Graph, sources: np.ndarray) -> np.ndarray:
     """Summed Brandes dependencies of every node over one block of sources.
 
     The block's B searches share flat state arrays over keys b*n + v (source
-    b, node v). Each BFS level expands the whole block's frontier in one
-    `Graph.expand` call, marks the unseen keys, and adds sigma along the
-    level's down-edges with one bincount; the down-edges are kept, and the
-    backward pass walks them from the deepest level up, crediting each
+    b, node v). Each BFS level maps the block's frontier keys to neighbor
+    keys in one `Graph.expand` call, marks the unseen ones, adds sigma along
+    the level's down-edges with one bincount and keeps them; the backward
+    pass walks them from the deepest level up, crediting each
     parent sigma[v] * sum over children w of (1 + delta[w]) / sigma[w].
     """
     n = g.n
@@ -129,10 +129,7 @@ def _block_dependencies(g: Graph, sources: np.ndarray) -> np.ndarray:
     levels = []
     depth = 0
     while front.size:
-        v = front % n
-        nbrs, ends = g.expand(v)
-        counts = np.diff(ends, prepend=0)
-        key = nbrs + np.repeat(front - v, counts)
+        key, counts = g.expand(front)
         # dist > depth: unseen, or reached at depth + 1 through another parent (a down-edge)
         down = np.flatnonzero(dist.take(key) > depth)
         key = key.take(down)

@@ -72,7 +72,7 @@ def main(argv=None) -> int:
         "tool": "efgraph",
         "version": __version__,
         "command": args.command,
-        "flags": _flag_dict(args),
+        "flags": {key: value for key, value in vars(args).items() if key not in ("func", "command")},
         "workers": getattr(args, "workers", None),
         "cores": usable_cores(),  # caps the processes that --workers may start
         "timings_ms": {},
@@ -99,7 +99,12 @@ def main(argv=None) -> int:
 
 
 def _check_settings(args: argparse.Namespace) -> str | None:
-    """Refuse a worker count below 1, fill an unset --workers from EFGRAPH_WORKERS; return a usage error, if any."""
+    """Refuse a bad --threshold, --repeats or worker count, fill an unset --workers from EFGRAPH_WORKERS; return a usage error, if any."""
+    threshold = getattr(args, "threshold", 0.0)
+    if not 0.0 <= threshold <= 1.0:  # NaN fails every comparison
+        return f"--threshold must be in [0, 1], got {threshold}"
+    if getattr(args, "repeats", 1) < 1:
+        return f"--repeats must be >= 1, got {args.repeats}"
     value = getattr(args, "workers", None)
     values = value if isinstance(value, list) else [value]  # bench takes a list of worker counts
     if value is not None and min(values, default=1) < 1:
@@ -225,15 +230,6 @@ def _mode_list(text: str) -> list[str]:
         if t not in _MODE_NAMES:
             raise argparse.ArgumentTypeError(f"unknown mode {t!r}")
     return modes
-
-
-def _flag_dict(args: argparse.Namespace) -> dict:
-    out = {}
-    for key, value in vars(args).items():
-        if key in ("func", "command"):
-            continue
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 def _ms_since(t0: float) -> float:

@@ -13,7 +13,7 @@ and reads it in a fixed order per step: one uniform per susceptible contact,
 one per newly infected node (parent pick), one per infectious node
 (recovery). One kernel advances a block of replicates in lockstep over flat
 keys r*n + v, each step one `Graph.expand` gather of the whole block's
-infectious nodes, so an outcome does not depend on its block; `run_sir` is
+infectious keys, so an outcome does not depend on its block; `run_sir` is
 a block of one. `run_scenarios` concatenates the replicates of several
 scenarios (base seed, index case, immunized set) into one plan, so a batch
 experiment runs all its bins on one pool and a block may mix immunized sets
@@ -203,16 +203,15 @@ def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: list) -> l
     record = np.full((3, block * n), -1, dtype=np.int32)  # parent, infected_at, recovered_at
     record[1, active] = 0
     infected = [active]
+    lane_ends = (rows + 1) * n
 
     step = 0
     while active.size and step < p.max_steps:
         step += 1
-        rep = active // n
-        node = active - rep * n
-        nbrs, ends = g.expand(node)
-        a_stop = np.searchsorted(rep, rows + 1)  # per replicate: end of its keys, then of their contacts
+        keys, counts = g.expand(active)
+        ends = np.cumsum(counts)
+        a_stop = np.searchsorted(active, lane_ends)  # per replicate: end of its keys, then of their contacts
         e_stop = np.append(0, ends)[a_stop]
-        keys = nbrs + np.repeat(rows * n, np.diff(e_stop, prepend=0))
         cand_pos = np.flatnonzero(status[keys] == 0)
         hit_pos = cand_pos[_draw(rngs, np.diff(np.searchsorted(cand_pos, e_stop), prepend=0)) < p.beta]
         order = np.argsort(keys[hit_pos], kind="stable")
@@ -226,7 +225,7 @@ def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: list) -> l
 
         status[active[recov]] = 2
         status[new] = 1
-        record[0, new] = node[np.searchsorted(ends, hit_pos[order[picks]], side="right")]
+        record[0, new] = active[np.searchsorted(ends, hit_pos[order[picks]], side="right")] % n
         record[1, new] = step
         record[2, active[recov]] = step
         infected.append(new)
@@ -390,9 +389,9 @@ def time_to_peak(o: SimOutcome) -> int:
 
 
 def epidemic_length(o: SimOutcome) -> int:
-    """First step with zero infectious nodes, or the step cap if truncated."""
-    zeros = np.flatnonzero(o.series[:, 1] == 0)
-    return int(zeros[0]) if zeros.size else o.steps
+    """First step with zero infectious nodes, or the step cap if truncated: `o.steps`, since only infectious
+    nodes infect (the count never leaves zero) and an untruncated run ends on the step its last node recovers."""
+    return o.steps
 
 
 def outcome_record(o: SimOutcome, replicate: int, threshold: float = 0.25, orig_ids=None) -> dict:

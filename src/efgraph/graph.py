@@ -6,7 +6,9 @@ input: self-loops and duplicate edges are removed, the edge set is
 symmetrized, isolated nodes are dropped, and surviving nodes are relabeled
 to a dense 0..n-1 range (sorted by original id, so dense order preserves
 original order). The resulting Graph is immutable and safe to share
-read-only across workers.
+read-only across workers. `Graph.expand` is the one frontier gather of the
+batched kernels: it maps flat lane keys lane*n + v (a replicate or a BFS
+source per lane) to their neighbors' keys lane*n + w.
 """
 from __future__ import annotations
 
@@ -82,11 +84,13 @@ class Graph:
         self._check_id(v)
         return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
 
-    def expand(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(neighbors, ends): the int32 adjacency lists of nodes concatenated in order, and the cumulative end of each."""
-        starts = self.offsets.take(nodes)
-        idx, ends = grouped_arange(starts, self.offsets.take(nodes + 1) - starts)
-        return self.neighbors.take(idx), ends
+    def expand(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(neighbor_keys, counts): lane*n + w for each neighbor w of each flat key lane*n + v, in key order, and
+        each key's degree. neighbor_keys has the dtype of keys; int32 keys need lanes * n <= 2^31."""
+        node = keys % self.n
+        starts = self.offsets.take(node)
+        counts = self.offsets.take(node + 1) - starts
+        return self.neighbors.take(grouped_arange(starts, counts)[0]) + np.repeat(keys - node, counts), counts
 
     def has_edge(self, u: int, v: int) -> bool:
         """Membership test via binary search on the lower-degree endpoint."""
@@ -125,7 +129,7 @@ class RmatParams:
         if self.avg_degree < 1:
             raise ValueError("avg_degree must be >= 1")
         probs = tuple(float(p) for p in self.quadrant_probs)
-        if len(probs) != 4 or any(p < 0 for p in probs):
+        if len(probs) != 4 or not all(0 <= p < np.inf for p in probs):  # NaN fails every comparison
             raise ValueError("quadrant_probs must be 4 nonnegative reals")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ValueError(f"quadrant_probs must sum to 1, got {sum(probs)}")

@@ -47,6 +47,15 @@ class TestGenerate:
     def test_bad_probs_is_usage_error(self):
         assert _run("generate", "--scale", 4, "--avg-degree", 2, "--probs", "1,2", "--output", "x") == 2
 
+    def test_nan_probs_rejected(self, tmp_path):
+        out = tmp_path / "g.txt"
+        assert _run("generate", "--scale", 6, "--avg-degree", 4, "--probs", "nan,0.19,0.19,0.05",
+                    "--output", out) == 1
+        manifest = json.loads((tmp_path / "g.txt.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "4 nonnegative reals" in manifest["error"]
+        assert not out.exists()
+
     def test_scale_beyond_int32_ids_rejected(self, tmp_path):
         out = tmp_path / "g.txt"
         assert _run("generate", "--scale", 40, "--avg-degree", 16, "--output", out) == 1
@@ -228,6 +237,32 @@ def test_zero_max_steps_is_refused(tmp_path, command):
     assert manifest["error"] == "max_steps must be >= 1"
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("threshold", ["-1", "nan", "1.5"])
+def test_threshold_outside_unit_interval_is_usage_error(tmp_path, command, threshold):
+    inp = tmp_path / "star.txt"
+    _write_star(inp)
+    out = tmp_path / "out"
+    extra = ["--kind", "seeding", "--bins", 2] if command == "analyze" else []
+    assert _run(command, "--input", inp, *extra, "--threshold", threshold, "--output", out) == 2
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error_type"] == "usage"
+    assert "--threshold" in manifest["error"]
+    assert not out.exists() and not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("threshold", ["0", "1"])
+def test_threshold_bounds_are_accepted(tmp_path, threshold):
+    inp = tmp_path / "star.txt"
+    _write_star(inp)
+    out = tmp_path / "runs.ndjson"
+    assert _run("simulate", "--input", inp, "--index", 0, "--beta", 0, "--mu", 1, "--reps", 2,
+                "--threshold", threshold, "--output", out) == 0
+    records = [json.loads(ln) for ln in out.read_text().splitlines()]
+    assert [r["global"] for r in records] == [threshold == "0"] * 2  # one node of four infected
+
+
 def test_sir_outputs_pinned(tmp_path):
     """SIR output bytes on R-MAT s10 d8 are fixed; digests recorded with the per-replicate kernel (seeding: before the shared CSR gather; correlation: before the one-plan scenario runner)."""
     inp = tmp_path / "g.txt"
@@ -302,6 +337,18 @@ def test_centrality_outputs_pinned(tmp_path):
     }
 
 
+@pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores")
+def test_betweenness_pinned_at_two_workers(tmp_path):
+    """Betweenness bytes on R-MAT s10 d8 hold when its 12 source blocks run on two worker processes; digest recorded before the lane-keyed `Graph.expand`."""
+    inp = tmp_path / "g.txt"
+    assert _run("generate", "--scale", 10, "--avg-degree", 8, "--seed", 1, "--output", inp) == 0
+    out = tmp_path / "betweenness.csv"
+    assert _run("centrality", "--input", inp, "--metric", "betweenness", "--workers", 2, "--output", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8a224e2751a3771f54dd604a8127ed4866820b4da35f823905eda0cd87191b42"
+    )
+
+
 def test_generate_and_ef_outputs_pinned(tmp_path):
     """Edge-list and ef.csv bytes are fixed; digests recorded before the vectorized parse, build and writers."""
     runs = (("s10.txt", 10, 8, 1), ("s12.txt", 12, 16, 116))
@@ -366,6 +413,17 @@ class TestBench:
         assert len(lines) == 1 + 2 * 2  # two degrees x two modes
         manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
         assert manifest["timed_out"] is False
+
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_repeats_below_one_is_usage_error(self, tmp_path, monkeypatch, repeats):
+        monkeypatch.setattr(cli, "generate_rmat", lambda params: pytest.fail("graph generated"))
+        out = tmp_path / "bench.csv"
+        assert _run("bench", "--scale", 6, "--degrees", "2", "--repeats", repeats, "--output", out) == 2
+        manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error_type"] == "usage"
+        assert "--repeats" in manifest["error"]
+        assert not out.exists()
 
     def test_cells_in_sweep_order_one_graph_per_degree(self, tmp_path, monkeypatch):
         generated = []

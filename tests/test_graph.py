@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import time
 
@@ -190,28 +191,32 @@ class TestQueries:
 
 class TestExpand:
     @staticmethod
-    def _check(g, nodes):
-        nodes = np.asarray(nodes, dtype=np.int64)
-        nbrs, ends = g.expand(nodes)
-        want = [g.adjacency(int(v)) for v in nodes]
-        assert nbrs.dtype == g.neighbors.dtype
-        assert np.array_equal(nbrs, np.concatenate(want) if want else np.zeros(0, dtype=np.int32))
-        assert np.array_equal(ends, np.cumsum(g.degrees()[nodes]))
-        assert np.array_equal(ends, np.cumsum([a.size for a in want], dtype=np.int64))
+    def _check(g, keys, dtype=np.int64):
+        keys = np.asarray(keys, dtype=dtype)
+        nbr_keys, counts = g.expand(keys)
+        want = [k - k % g.n + g.adjacency(int(k % g.n)).astype(dtype) for k in keys]
+        assert nbr_keys.dtype == dtype
+        assert np.array_equal(nbr_keys, np.concatenate(want) if want else np.zeros(0, dtype=dtype))
+        assert np.array_equal(counts, g.degrees()[keys % g.n])
+        assert np.array_equal(counts, [a.size for a in want])
 
     def test_random_node_lists_with_repeats(self, rmat_10_8):
-        rng = np.random.default_rng(3)
-        for size in (1, 2, 17, 500, 3 * rmat_10_8.n):
-            self._check(rmat_10_8, rng.integers(0, rmat_10_8.n, size))
-        self._check(rmat_10_8, np.arange(rmat_10_8.n))
-        self._check(rmat_10_8, np.arange(rmat_10_8.n)[::-1])
+        n = rmat_10_8.n
+        for dtype in (np.int64, np.int32):
+            rng = np.random.default_rng(3)
+            for size, lanes in ((1, 1), (2, 3), (17, 5), (500, 40), (3 * n, 2)):
+                self._check(rmat_10_8, rng.integers(0, lanes * n, size), dtype)
+            self._check(rmat_10_8, np.arange(n), dtype)
+            self._check(rmat_10_8, np.arange(4 * n)[::-1], dtype)
+            self._check(rmat_10_8, np.sort(rng.integers(0, 9 * n, 2 * n)), dtype)
 
     def test_single_node_and_empty_input(self):
         g = build_graph(star_edges(5) + path_edges(3))
-        for v in range(g.n):
-            self._check(g, [v])
-        nbrs, ends = g.expand(np.zeros(0, dtype=np.int64))
-        assert nbrs.size == 0 and ends.size == 0
+        for dtype in (np.int64, np.int32):
+            for k in range(3 * g.n):  # three lanes
+                self._check(g, [k], dtype)
+            nbr_keys, counts = g.expand(np.zeros(0, dtype=dtype))
+            assert nbr_keys.size == 0 and counts.size == 0 and nbr_keys.dtype == dtype
 
     def test_grouped_arange(self):
         rng = np.random.default_rng(8)
@@ -281,6 +286,10 @@ class TestRmat:
             RmatParams(scale=4, avg_degree=0)
         with pytest.raises(ValueError):
             RmatParams(scale=4, avg_degree=2, quadrant_probs=(0.5, 0.5, 0.5, 0.5))
+        for bad in (math.nan, math.inf):  # NaN passes both a sign and a sum test
+            for probs in ((bad, 0.19, 0.19, 0.05), (0.57, 0.19, 0.19, bad)):
+                with pytest.raises(ValueError, match="4 nonnegative reals"):
+                    RmatParams(scale=6, avg_degree=4, quadrant_probs=probs)
 
     def test_scale_capped_at_int32_ids(self):
         assert RmatParams(scale=31, avg_degree=1).scale == 31  # validation allocates nothing
