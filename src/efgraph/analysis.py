@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from .epidemic import (
+    GLOBAL_THRESHOLD,
     SirParams,
     descendant_sums,
     epidemic_length,
@@ -111,7 +112,7 @@ def correlation_report(
     ef_result: EFResult,
     others,
     outcomes,
-    threshold: float = 0.25,
+    threshold: float = GLOBAL_THRESHOLD,
     min_global: int = 100,
     orders=(1, 2, 3, 4),
 ) -> ExperimentReport:
@@ -184,7 +185,7 @@ def seeding_experiment(
     bins,
     reps: int = 100,
     base_seed: int = 0,
-    threshold: float = 0.25,
+    threshold: float = GLOBAL_THRESHOLD,
     workers: int = 1,
 ) -> ExperimentReport:
     """Outbreak fraction and mean epidemic size per EF bin of the index case."""
@@ -208,7 +209,7 @@ def immunization_experiment(
     scenarios: int = 10,
     reps: int = 100,
     base_seed: int = 0,
-    threshold: float = 0.25,
+    threshold: float = GLOBAL_THRESHOLD,
     workers: int = 1,
 ) -> ExperimentReport:
     """Outbreak fraction under immunization windows of increasing mean EF.
@@ -263,7 +264,7 @@ def timing_report(
     bins,
     reps: int = 100,
     base_seed: int = 0,
-    threshold: float = 0.25,
+    threshold: float = GLOBAL_THRESHOLD,
     workers: int = 1,
 ) -> ExperimentReport:
     """Mean time to peak and epidemic length per EF bin, over global outbreaks.

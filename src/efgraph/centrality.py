@@ -58,6 +58,10 @@ def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-8, max_iter: int =
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
+    if not 0.0 < tol < np.inf:  # NaN fails every comparison
+        raise ValueError(f"tol must be a finite real > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n = g.n
     if n == 0:
         return CentralityScores(metric="pagerank", values=np.zeros(0))

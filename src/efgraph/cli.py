@@ -41,7 +41,7 @@ from .centrality import (
     pagerank,
     write_scores_csv,
 )
-from .epidemic import SirParams, calibrate, outcome_record, run_replicates, step_cap
+from .epidemic import GLOBAL_THRESHOLD, SirParams, calibrate, outcome_record, run_replicates, step_cap
 from .expected_force import ef as compute_ef, write_ef_csv
 from .graph import (
     DEFAULT_RMAT_PROBS,
@@ -99,15 +99,20 @@ def main(argv=None) -> int:
 
 
 def _check_settings(args: argparse.Namespace) -> str | None:
-    """Refuse a bad --threshold, --repeats or worker count, fill an unset --workers from EFGRAPH_WORKERS; return a usage error, if any."""
+    """Refuse a bad flag value or an empty bench list, fill an unset --workers from EFGRAPH_WORKERS; return a usage error, if any."""
     threshold = getattr(args, "threshold", 0.0)
     if not 0.0 <= threshold <= 1.0:  # NaN fails every comparison
         return f"--threshold must be in [0, 1], got {threshold}"
     if getattr(args, "repeats", 1) < 1:
         return f"--repeats must be >= 1, got {args.repeats}"
+    if not (getattr(args, "timeout", None) or 0) >= 0:  # unset passes; NaN fails every comparison
+        return f"--timeout must be >= 0, got {args.timeout}"
+    for flag in ("degrees", "workers", "modes"):  # bench takes lists
+        if getattr(args, flag, None) == []:
+            return f"--{flag} must list at least one value"
     value = getattr(args, "workers", None)
-    values = value if isinstance(value, list) else [value]  # bench takes a list of worker counts
-    if value is not None and min(values, default=1) < 1:
+    values = value if isinstance(value, list) else [value]
+    if value is not None and min(values) < 1:
         return f"--workers must be >= 1, got {value}"
     if not hasattr(args, "workers") or args.workers is not None:
         return None
@@ -168,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     _add_sir_flags(p)
-    p.add_argument("--threshold", type=float, default=0.25)
+    p.add_argument("--threshold", type=float, default=GLOBAL_THRESHOLD)
     p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--forest-output", default=None, help="also dump parent pairs as CSV")
     p.add_argument("--output", required=True)
@@ -186,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="include betweenness in the correlation report (O(n*m))")
     p.add_argument("--seed", type=int, default=0)
     _add_sir_flags(p)
-    p.add_argument("--threshold", type=float, default=0.25)
+    p.add_argument("--threshold", type=float, default=GLOBAL_THRESHOLD)
     p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--output", required=True, help="output prefix: writes PREFIX.csv and PREFIX.ndjson")
     p.set_defaults(func=cmd_analyze, command="analyze")

@@ -25,8 +25,6 @@ int32 arrays in infection order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -37,12 +35,12 @@ __all__ = [
     "SirParams",
     "SimConfig",
     "SimOutcome",
+    "GLOBAL_THRESHOLD",
     "calibrate",
     "step_cap",
     "run_sir",
     "run_replicates",
     "run_scenarios",
-    "descendant_counts",
     "descendant_sums",
     "spreading_power",
     "is_global_outbreak",
@@ -54,6 +52,7 @@ __all__ = [
 _SEED_MASK = (1 << 64) - 1
 _INDEX_STREAM = 0x1D  # substream tag for random index-case selection
 _REPLICATE_BUDGET = 1 << 18  # replicates x nodes held in one lockstep block
+GLOBAL_THRESHOLD = 0.25  # default ever-infected fraction of a global outbreak
 
 
 @dataclass(frozen=True)
@@ -87,15 +86,14 @@ class SimConfig:
 
 @dataclass
 class SimOutcome:
-    """One SIR run.
+    """One SIR run, held as arrays.
 
     series holds (S, I, R) counts per step including t=0; immunized nodes
     sit in R from the start. The four int32 arrays list every ever-infected
     node in infection order (by step, then node id; the index case first):
     its infector in `parents` (-1 for the index case), the step it became
     infected and the step it recovered (-1 if still infectious at
-    truncation). `parent`, `infected_step` and `recovered_step` are
-    read-only dict views of the same data.
+    truncation).
     """
 
     series: np.ndarray
@@ -113,21 +111,6 @@ class SimOutcome:
     @property
     def ever_infected(self) -> int:
         return int(self.nodes.size)
-
-    @cached_property
-    def parent(self) -> MappingProxyType:
-        pairs = zip(self.nodes.tolist(), self.parents.tolist())
-        return MappingProxyType({v: (None if par < 0 else par) for v, par in pairs})
-
-    @cached_property
-    def infected_step(self) -> MappingProxyType:
-        return MappingProxyType(dict(zip(self.nodes.tolist(), self.infected_at.tolist())))
-
-    @cached_property
-    def recovered_step(self) -> MappingProxyType:
-        done = np.flatnonzero(self.recovered_at >= 0)
-        done = done[np.lexsort((self.nodes[done], self.recovered_at[done]))]
-        return MappingProxyType(dict(zip(self.nodes[done].tolist(), self.recovered_at[done].tolist())))
 
 
 def calibrate(g: Graph, r0: float = 1.3, recovery_days: float = 3.0) -> SirParams:
@@ -319,35 +302,25 @@ def _random_index(n: int, immunized: frozenset, seed: int) -> int:
             return cand
 
 
-def descendant_counts(o: SimOutcome, max_depth: int = 4) -> np.ndarray:
-    """Forest descendants of every node within depth 1..max_depth, shape (max_depth, n).
-
-    Row d-1 holds, per node id, the number of forest nodes at most d
-    generations below it (0 for nodes never infected). Each depth is one
-    bincount over the forest edges: D_d[p] = sum over children c of
-    1 + D_{d-1}[c]. The sums are integers, so they are exact.
-    """
-    tree = o.parents >= 0
-    child = o.nodes[tree]
-    parent = o.parents[tree]
-    counts = np.zeros((max_depth, o.n))
-    below = np.zeros(o.n)
-    for d in range(max_depth):
-        below = np.bincount(parent, weights=1.0 + below[child], minlength=o.n)
-        counts[d] = below
-    return counts
-
-
 def descendant_sums(outcomes, n: int, max_depth: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node sums of `descendant_counts` over the outcomes, and infection counts.
+    """Per-node forest descendants within depth 1..max_depth summed over the outcomes, and infection counts.
 
-    Returns the (max_depth, n) sums, added in outcome order, and per node
-    the number of outcomes in which it was infected.
+    Row d-1 of the (max_depth, n) sums holds, per node id, the number of
+    forest nodes at most d generations below it (0 where it was never
+    infected), added in outcome order. Each depth of an outcome is one
+    bincount over its forest edges: D_d[p] = sum over children c of
+    1 + D_{d-1}[c]. The sums are integers, so they are exact. The second
+    result holds per node the number of outcomes in which it was infected.
     """
     sums = np.zeros((max_depth, n))
     infected = np.zeros(n, dtype=np.int64)
     for o in outcomes:
-        sums += descendant_counts(o, max_depth)
+        tree = o.parents >= 0
+        child, parent = o.nodes[tree], o.parents[tree]
+        below = np.zeros(n)
+        for d in range(max_depth):
+            below = np.bincount(parent, weights=1.0 + below[child], minlength=n)
+            sums[d] += below
         infected[o.nodes] += 1
     return sums, infected
 
@@ -371,16 +344,9 @@ def spreading_power(outcomes, v: int, order: int, conditional: bool = False) -> 
     return total / len(outcomes)
 
 
-def is_global_outbreak(o: SimOutcome, threshold: float = 0.25, exclude_immunized: bool = False) -> bool:
-    """True when the ever-infected fraction reaches the threshold.
-
-    The denominator is the full population including immunized nodes unless
-    exclude_immunized is set.
-    """
-    denom = o.n - (o.immunized_count if exclude_immunized else 0)
-    if denom <= 0:
-        return False
-    return o.ever_infected / denom >= threshold
+def is_global_outbreak(o: SimOutcome, threshold: float = GLOBAL_THRESHOLD) -> bool:
+    """True when the ever-infected fraction of all o.n nodes reaches the threshold; immunized nodes stay in the denominator."""
+    return o.ever_infected / o.n >= threshold
 
 
 def time_to_peak(o: SimOutcome) -> int:
@@ -394,7 +360,7 @@ def epidemic_length(o: SimOutcome) -> int:
     return o.steps
 
 
-def outcome_record(o: SimOutcome, replicate: int, threshold: float = 0.25, orig_ids=None) -> dict:
+def outcome_record(o: SimOutcome, replicate: int, threshold: float = GLOBAL_THRESHOLD, orig_ids=None) -> dict:
     """Flat summary of one run for NDJSON output."""
     index = o.index_case if orig_ids is None else int(orig_ids[o.index_case])
     return {

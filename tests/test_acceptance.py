@@ -147,14 +147,15 @@ def test_c07_sir_invariants_small_graphs():
             o = run_sir(g, p, SimConfig(index_case=seed % g.n, rng_seed=seed))
             assert np.all(o.series.sum(axis=1) == g.n)
             assert np.all(np.diff(o.series[:, 0]) <= 0)
-            roots = [v for v, par in o.parent.items() if par is None]
-            assert roots == [o.index_case]
-            for node, par in o.parent.items():
-                if par is None:
+            assert o.nodes[o.parents < 0].tolist() == [o.index_case]
+            infected = dict(zip(o.nodes.tolist(), o.infected_at.tolist()))
+            recovered = dict(zip(o.nodes.tolist(), o.recovered_at.tolist()))
+            for node, par in zip(o.nodes.tolist(), o.parents.tolist()):
+                if par < 0:
                     continue
-                t = o.infected_step[node]
-                assert o.infected_step[par] <= t - 1
-                assert o.recovered_step.get(par, float("inf")) >= t
+                t = infected[node]
+                assert infected[par] <= t - 1
+                assert recovered[par] == -1 or recovered[par] >= t
 
         # deterministic wave equals BFS distances from every index case
         wave = SirParams(beta=1.0, mu=1.0, max_steps=5000)
@@ -162,7 +163,7 @@ def test_c07_sir_invariants_small_graphs():
             o = run_sir(g, wave, SimConfig(index_case=index, rng_seed=7))
             dist = bfs_distances(adj, int(g.orig_ids[index]))
             assert o.ever_infected == len(dist)
-            for dense, step in o.infected_step.items():
+            for dense, step in zip(o.nodes.tolist(), o.infected_at.tolist()):
                 assert dist[int(g.orig_ids[dense])] == step
 
 

@@ -69,6 +69,15 @@ class TestPagerank:
         with pytest.raises(ValueError):
             pagerank(g, damping=1.0)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("max_iter", 0), ("max_iter", -3), ("tol", float("nan")), ("tol", -1.0), ("tol", 0.0), ("tol", float("inf"))],
+    )
+    def test_iteration_settings_validation(self, name, value):
+        g = build_graph(path_edges(3))
+        with pytest.raises(ValueError, match=name):
+            pagerank(g, **{name: value})
+
 
 class TestBetweenness:
     def test_path3(self):

@@ -169,6 +169,18 @@ class TestCentrality:
         assert rc == 0
         assert out.read_text().splitlines()[1] == "0,15"  # C(6,2) paths through the center
 
+    @pytest.mark.parametrize("flag,value", [("--max-iter", 0), ("--max-iter", -3), ("--tol", "nan"),
+                                            ("--tol", -1), ("--tol", "inf")])
+    def test_bad_pagerank_iteration_setting_is_refused(self, tmp_path, flag, value):
+        inp = tmp_path / "star.txt"
+        _write_star(inp)
+        out = tmp_path / "pr.csv"
+        assert _run("centrality", "--input", inp, "--metric", "pagerank", flag, value, "--output", out) == 1
+        manifest = json.loads((tmp_path / "pr.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert flag[2:].replace("-", "_") in manifest["error"]
+        assert not out.exists()
+
     @pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores")
     def test_dead_worker_is_an_error(self, tmp_path, monkeypatch, capsys):
         test_pid = os.getpid()
@@ -423,6 +435,18 @@ class TestBench:
         assert manifest["status"] == "error"
         assert manifest["error_type"] == "usage"
         assert "--repeats" in manifest["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--degrees", ","), ("--workers", ","), ("--modes", ","),
+                                            ("--timeout", -1), ("--timeout", "nan")])
+    def test_empty_sweep_is_usage_error(self, tmp_path, monkeypatch, flag, value):
+        monkeypatch.setattr(cli, "generate_rmat", lambda params: pytest.fail("graph generated"))
+        out = tmp_path / "bench.csv"
+        assert _run("bench", "--scale", 6, "--repeats", 1, flag, value, "--output", out) == 2
+        manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error_type"] == "usage"
+        assert flag in manifest["error"]
         assert not out.exists()
 
     def test_cells_in_sweep_order_one_graph_per_degree(self, tmp_path, monkeypatch):
