@@ -4,11 +4,13 @@ These serve as comparison metrics when evaluating how well Expected Force
 predicts epidemic behavior. Betweenness follows Brandes' algorithm with the
 unordered-pair convention (each {s, t} counted once, endpoints excluded, no
 normalization). It runs one multi-source pass per fixed block of sources,
-sized from the graph by one entry budget, and each BFS level expands the
-block's frontier keys with one `Graph.expand` gather; the blocks run on up to
-`workers` forked processes (`parallel_map`) and their sums merge in block
-order, so the output is bitwise identical for any worker count. PageRank
-is plain power iteration on the undirected neighbor-averaging recurrence.
+sized from the graph by one entry budget. Each BFS level makes one
+`Graph.expand` gather, top-down from the block's frontier keys or bottom-up
+from its unseen keys, whichever reads fewer entries; either way every sum
+adds its terms in the same order. The blocks run on up to `workers` forked
+processes and their sums merge in block order, so the output is bitwise
+identical for any worker count. PageRank is plain power iteration on the
+undirected neighbor-averaging recurrence.
 """
 from __future__ import annotations
 
@@ -117,32 +119,50 @@ def _block_dependencies(g: Graph, sources: np.ndarray) -> np.ndarray:
     """Summed Brandes dependencies of every node over one block of sources.
 
     The block's B searches share flat state arrays over keys b*n + v (source
-    b, node v). Each BFS level maps the block's frontier keys to neighbor
-    keys in one `Graph.expand` call, marks the unseen ones, adds sigma along
-    the level's down-edges with one bincount and keeps them; the backward
-    pass walks them from the deepest level up, crediting each
-    parent sigma[v] * sum over children w of (1 + delta[w]) / sigma[w].
+    b, node v). Each BFS level finds its down-edges with one `Graph.expand`
+    call, in the direction that gathers fewer entries for the whole block
+    (Beamer et al., SC 2012): top-down expands the frontier keys and keeps
+    unseen neighbors, bottom-up expands the unseen keys and keeps frontier
+    neighbors. It marks the children, adds sigma along the down-edges with one
+    bincount and keeps them; the backward pass walks them from the deepest
+    level up, crediting each parent sigma[v] * sum over children w of
+    (1 + delta[w]) / sigma[w]. Both directions list each child's parents and
+    each parent's children in ascending key order, so both bincounts add the
+    same terms in the same order whichever direction a level took.
     """
     n = g.n
     keys = sources.size * n
+    deg = g.degrees()
     dist = np.full(keys, _UNSEEN, dtype=np.int32)
     sigma = np.zeros(keys)
+    pos = np.empty(keys, dtype=np.int64)  # frontier position of a frontier key; read only there
     front = np.arange(sources.size, dtype=np.int64) * n + sources
     dist[front] = 0
     sigma[front] = 1.0
+    front_cost = int(deg.take(sources).sum())  # entries a top-down gather reads
+    unseen_cost = sources.size * 2 * g.m - front_cost  # entries a bottom-up gather reads
     levels = []
     depth = 0
     while front.size:
-        key, counts = g.expand(front)
-        # dist > depth: unseen, or reached at depth + 1 through another parent (a down-edge)
-        down = np.flatnonzero(dist.take(key) > depth)
-        key = key.take(down)
-        parent = np.repeat(np.arange(front.size), counts).take(down)
+        if front_cost <= unseen_cost:
+            key, counts = g.expand(front)
+            down = np.flatnonzero(dist.take(key) > depth)
+            key = key.take(down)
+            parent = np.repeat(np.arange(front.size), counts).take(down)
+        else:
+            unseen = np.flatnonzero(dist == _UNSEEN)
+            nbr, counts = g.expand(unseen)
+            up = np.flatnonzero(dist.take(nbr) == depth)
+            key = np.repeat(unseen, counts).take(up)
+            pos[front] = np.arange(front.size)
+            parent = pos.take(nbr.take(up))
         dist[key] = depth + 1
         paths = np.bincount(key, weights=sigma.take(front).take(parent), minlength=keys)
         levels.append((front, parent, key))
         front = np.flatnonzero(paths)
         sigma[front] = paths.take(front)
+        front_cost = int(deg.take(front % n).sum())
+        unseen_cost -= front_cost
         depth += 1
     delta = np.zeros(keys)
     for front, parent, key in reversed(levels):

@@ -382,7 +382,10 @@ def cmd_analyze(args, manifest) -> None:
         others = [degree_centrality(g), pagerank(g)]
         if args.with_betweenness:
             others.append(betweenness(g, workers=args.workers))
+        manifest["timings_ms"]["centrality"] = _ms_since(t0)
+        t1 = time.perf_counter()
         runs = run_replicates(g, p, args.reps, args.seed, workers=args.workers)
+        manifest["timings_ms"]["simulate"] = _ms_since(t1)
         report = correlation_report(
             g, ef_result, others, runs, threshold=args.threshold, min_global=args.min_global
         )

@@ -5,10 +5,10 @@ import pytest
 
 from efgraph import centrality
 from efgraph.centrality import betweenness, degree_centrality, pagerank
-from efgraph.graph import build_graph
+from efgraph.graph import Graph, RmatParams, build_graph, generate_rmat
 
 from conftest import complete_edges, cycle_edges, er_edges, path_edges, star_edges
-from oracles import adjacency, brute_force_betweenness
+from oracles import adjacency, bfs_distances, brute_force_betweenness
 
 
 class TestDegree:
@@ -138,6 +138,117 @@ class TestBetweenness:
         g = build_graph(er_edges(40, 0.2, 2))
         with pytest.warns(UserWarning, match="budget"):
             betweenness(g, cost_budget=10)
+
+
+def _top_down_block_dependencies(g, sources):
+    """The block kernel with every BFS level expanded top-down, from the frontier keys: the reference for the direction choice."""
+    n = g.n
+    keys = sources.size * n
+    dist = np.full(keys, centrality._UNSEEN, dtype=np.int32)
+    sigma = np.zeros(keys)
+    front = np.arange(sources.size, dtype=np.int64) * n + sources
+    dist[front] = 0
+    sigma[front] = 1.0
+    levels = []
+    depth = 0
+    while front.size:
+        key, counts = g.expand(front)
+        down = np.flatnonzero(dist.take(key) > depth)
+        key = key.take(down)
+        parent = np.repeat(np.arange(front.size), counts).take(down)
+        dist[key] = depth + 1
+        paths = np.bincount(key, weights=sigma.take(front).take(parent), minlength=keys)
+        levels.append((front, parent, key))
+        front = np.flatnonzero(paths)
+        sigma[front] = paths.take(front)
+        depth += 1
+    delta = np.zeros(keys)
+    for front, parent, key in reversed(levels):
+        if key.size:
+            share = (1.0 + delta.take(key)) / sigma.take(key)
+            delta[front] = sigma.take(front) * np.bincount(parent, weights=share, minlength=front.size)
+    delta[np.arange(sources.size) * n + sources] = 0.0
+    return delta.reshape(sources.size, n).sum(0)
+
+
+def _deep_edges(links: int = 36):
+    """A chain of 3-way diamonds into an ER blob: path counts pass 3**34 > 2**53, so the sigma sums round."""
+    edges = []
+    for i in range(links):
+        edges += [(4 * i + e, 4 * i + mid) for mid in (1, 2, 3) for e in (0, 4)]
+    return edges + [(4 * links + u, 4 * links + v) for u, v in er_edges(30, 0.3, 5)]
+
+
+_DIRECTION_GRAPHS = {
+    "rmat": lambda: generate_rmat(RmatParams(scale=7, avg_degree=8, seed=3))[0],
+    "er-sparse": lambda: build_graph(er_edges(60, 0.06, 11)),
+    "er-dense": lambda: build_graph(er_edges(40, 0.3, 12)),
+    "path": lambda: build_graph(path_edges(12)),
+    "star": lambda: build_graph(star_edges(9)),
+    "complete": lambda: build_graph(complete_edges(6)),
+    "disconnected": lambda: build_graph(
+        er_edges(20, 0.2, 3) + [(100 + u, 100 + v) for u, v in path_edges(5)] + [(200, 201)]
+    ),
+    "deep": lambda: build_graph(_deep_edges()),
+}
+
+
+class TestBetweennessDirections:
+    """Bottom-up and top-down BFS levels give the top-down kernel's scores bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("per_block", [1, 5])
+    @pytest.mark.parametrize("name", sorted(_DIRECTION_GRAPHS))
+    def test_bitwise_equal_to_top_down(self, monkeypatch, name, per_block, workers):
+        g = _DIRECTION_GRAPHS[name]()
+        monkeypatch.setattr(centrality, "_ENTRY_BUDGET", per_block * 2 * g.m)
+        blocks = [np.arange(s, min(s + per_block, g.n), dtype=np.int64) for s in range(0, g.n, per_block)]
+        expected = sum((_top_down_block_dependencies(g, b) for b in blocks), np.zeros(g.n)) / 2.0
+        directions = self._spy_directions(monkeypatch, g) if workers == 1 else None
+        got = betweenness(g, workers=workers).values
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        if directions is not None:  # a forked worker's spy cannot report back
+            assert {direction for direction, _ in directions} == {"top-down", "bottom-up"}
+
+    def test_bottom_up_levels_find_children(self, monkeypatch):
+        g = _DIRECTION_GRAPHS["rmat"]()
+        monkeypatch.setattr(centrality, "_ENTRY_BUDGET", 5 * 2 * g.m)
+        directions = self._spy_directions(monkeypatch, g)
+        betweenness(g)
+        # not only the final levels, whose unseen keys are all out of reach
+        assert sum(children for direction, children in directions if direction == "bottom-up") > g.n
+
+    @staticmethod
+    def _spy_directions(monkeypatch, g):
+        """Wrap the block kernel and Graph.expand; each expand call must gather exactly the level's frontier
+        (top-down) or exactly its unseen keys (bottom-up). Returns (direction, children found) per level."""
+        adj = {v: set(g.adjacency(v).tolist()) for v in range(g.n)}
+        far = np.full((g.n, g.n), np.iinfo(np.int64).max)
+        for s in range(g.n):
+            for v, d in bfs_distances(adj, s).items():
+                far[s, v] = d
+        directions, state = [], {}
+        block_kernel, expand = centrality._block_dependencies, Graph.expand
+
+        def kernel(graph, sources):
+            state.update(sources=sources, depth=0)
+            return block_kernel(graph, sources)
+
+        def spy(graph, keys):
+            sources, depth = state["sources"], state["depth"]
+            dist = far[sources].ravel()  # dist[b*n + v] = distance of v from source b
+            children = int(np.count_nonzero(dist == depth + 1))
+            if np.array_equal(keys, np.flatnonzero(dist == depth)):
+                directions.append(("top-down", children))
+            else:
+                assert np.array_equal(keys, np.flatnonzero(dist > depth))
+                directions.append(("bottom-up", children))
+            state["depth"] = depth + 1
+            return expand(graph, keys)
+
+        monkeypatch.setattr(centrality, "_block_dependencies", kernel)
+        monkeypatch.setattr(Graph, "expand", spy)
+        return directions
 
 
 class TestPermutationEquivariance:

@@ -361,6 +361,35 @@ def test_betweenness_pinned_at_two_workers(tmp_path):
     )
 
 
+_CORRELATION_WITH_BETWEENNESS = {
+    "correlation.csv": "ab5aa66584819447733b736cd5f6900623148516d8058c0599570de69fa6bd30",
+    "correlation.ndjson": "ef4916d801bc4bb8df1d841b259464a770eaf4b8d881442810c76ea2bc7212c9",
+}
+
+
+def _correlation_with_betweenness_digests(tmp_path, inp, workers):
+    assert _run("analyze", "--input", inp, "--kind", "correlation", "--with-betweenness", "--reps", 200,
+                "--seed", 3, "--min-global", 1, "--workers", workers, "--output", tmp_path / "correlation") == 0
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _CORRELATION_WITH_BETWEENNESS}
+
+
+def test_correlation_with_betweenness_pinned(tmp_path):
+    """Correlation report bytes with betweenness on R-MAT s10 d8 are fixed; digests recorded before the direction-optimizing betweenness BFS."""
+    inp = tmp_path / "g.txt"
+    assert _run("generate", "--scale", 10, "--avg-degree", 8, "--seed", 1, "--output", inp) == 0
+    assert _correlation_with_betweenness_digests(tmp_path, inp, 1) == _CORRELATION_WITH_BETWEENNESS
+
+
+@pytest.mark.skipif(usable_cores() < 2, reason="needs two usable cores")
+def test_correlation_with_betweenness_pinned_at_two_workers(tmp_path, monkeypatch):
+    """The pinned correlation bytes hold when betweenness and replicate blocks run on two worker processes."""
+    inp = tmp_path / "g.txt"
+    assert _run("generate", "--scale", 10, "--avg-degree", 8, "--seed", 1, "--output", inp) == 0
+    nodes = json.loads((tmp_path / "g.txt.manifest.json").read_text())["graph"]["nodes"]
+    monkeypatch.setattr(epidemic, "_REPLICATE_BUDGET", 32 * nodes)  # 200 replicates: 7 blocks
+    assert _correlation_with_betweenness_digests(tmp_path, inp, 2) == _CORRELATION_WITH_BETWEENNESS
+
+
 def test_generate_and_ef_outputs_pinned(tmp_path):
     """Edge-list and ef.csv bytes are fixed; digests recorded before the vectorized parse, build and writers."""
     runs = (("s10.txt", 10, 8, 1), ("s12.txt", 12, 16, 116))
@@ -404,6 +433,16 @@ class TestAnalyze:
         rows = [json.loads(ln) for ln in lines[1:]]
         metrics = {r["metric"] for r in rows}
         assert {"exp_ef", "degree", "pagerank"} <= metrics
+
+    def test_correlation_subphase_timings(self, tmp_path):
+        inp = tmp_path / "g.txt"
+        assert _run("generate", "--scale", 8, "--avg-degree", 6, "--seed", 5, "--output", inp) == 0
+        assert _run("analyze", "--input", inp, "--kind", "correlation", "--with-betweenness", "--reps", 30,
+                    "--min-global", 1, "--seed", 11, "--output", tmp_path / "corr") == 0
+        timings = json.loads((tmp_path / "corr.manifest.json").read_text())["timings_ms"]
+        # experiment encloses both sub-phases and the report
+        assert timings["centrality"] > 0 and timings["simulate"] > 0
+        assert timings["centrality"] + timings["simulate"] <= timings["experiment"]
 
     def test_immunization_and_timing(self, tmp_path):
         inp = tmp_path / "g.txt"
