@@ -12,10 +12,17 @@ Four experiment kinds, each returning a tabular ExperimentReport:
 * timing: time to epidemic peak and epidemic length per EF bin, over
   global outbreaks only.
 
-Reports are reproducible: all replicate seeds derive from the base seed,
-bin or scenario b on lane base_seed XOR b * 2^32. Each experiment makes one
-`run_scenarios` call, so all its bins run as one replicate plan on one
-worker pool, then folds the outcomes per bin.
+Seeding, immunization and timing share one plan -> run -> fold path. An
+experiment builds a plan of (row cells, index case | None, immunized set)
+scenarios, one per bin or immunization window; `_run_plan` runs the whole
+plan with one `run_scenarios` call, so all scenarios share one worker pool,
+and each row is the scenario's cells followed by the experiment's fold of
+its outcomes. Seeding and immunization share the outbreak-fraction /
+mean-size fold; timing folds over global outbreaks only.
+
+Reports are reproducible: all replicate seeds derive from the base seed.
+Scenario b runs on seed lane base_seed XOR b * 2^32, a rule `_run_plan`
+alone applies.
 """
 from __future__ import annotations
 
@@ -162,21 +169,42 @@ def correlation_report(
     )
 
 
-def _bin_runs(g: Graph, p: SirParams, bins, reps: int, base_seed: int, workers: int):
-    """Per EF bin: its leading row cells and the outcomes of `reps` runs from its representative.
+def _run_plan(
+    kind: str, fold, g: Graph, p: SirParams, plan, reps: int, base_seed: int, threshold: float, workers: int, **extra
+) -> ExperimentReport:
+    """Run a plan of (row cells, index case | None, immunized) scenarios as one replicate plan.
 
-    All bins run as one plan, bin b seeded base_seed XOR b * _BIN_SEED_STRIDE.
+    Scenario b runs on seed lane base_seed XOR b * _BIN_SEED_STRIDE; its row
+    is {**cells, **fold(g, outcomes, threshold)}.
     """
-    scenarios = [(base_seed ^ (b * _BIN_SEED_STRIDE), ef_bin.representative, ()) for b, ef_bin in enumerate(bins)]
-    for b, (ef_bin, runs) in enumerate(zip(bins, run_scenarios(g, p, scenarios, reps, workers))):
-        cells = {
-            "bin": b,
-            "target_ef": ef_bin.target_ef,
-            "achieved_ef": ef_bin.achieved_ef,
-            "node": int(g.orig_ids[ef_bin.representative]),
-            "reps": reps,
-        }
-        yield cells, runs
+    scenarios = [(base_seed ^ (b * _BIN_SEED_STRIDE), case, immune) for b, (_, case, immune) in enumerate(plan)]
+    outcomes = run_scenarios(g, p, scenarios, reps, workers)
+    rows = [{**cells, **fold(g, runs, threshold)} for (cells, _, _), runs in zip(plan, outcomes)]
+    metadata = {"nodes": g.n, "edges": g.m, "beta": p.beta, "mu": p.mu, "max_steps": p.max_steps,
+                "base_seed": base_seed, "reps": reps, "threshold": threshold, **extra}
+    return ExperimentReport(kind=kind, rows=rows, metadata=metadata)
+
+
+def _bin_plan(g: Graph, bins, reps: int) -> list:
+    """One scenario per EF bin, from its representative, its row cells leading with the bin."""
+    return [
+        ({"bin": b, "target_ef": ef_bin.target_ef, "achieved_ef": ef_bin.achieved_ef,
+          "node": int(g.orig_ids[ef_bin.representative]), "reps": reps}, ef_bin.representative, ())
+        for b, ef_bin in enumerate(bins)
+    ]
+
+
+def _outbreak_fold(g: Graph, runs, threshold: float) -> dict:
+    outbreaks = sum(is_global_outbreak(o, threshold) for o in runs)
+    mean_size = float(np.mean([o.ever_infected / g.n for o in runs]))
+    return {"outbreak_fraction": outbreaks / len(runs), "mean_size": mean_size}
+
+
+def _timing_fold(g: Graph, runs, threshold: float) -> dict:
+    global_runs = [o for o in runs if is_global_outbreak(o, threshold)]
+    peak, length = [float(np.mean([f(o) for o in global_runs])) if global_runs else None
+                    for f in (time_to_peak, epidemic_length)]
+    return {"global_outbreaks": len(global_runs), "mean_time_to_peak": peak, "mean_length": length}
 
 
 def seeding_experiment(
@@ -189,16 +217,8 @@ def seeding_experiment(
     workers: int = 1,
 ) -> ExperimentReport:
     """Outbreak fraction and mean epidemic size per EF bin of the index case."""
-    rows = []
-    for cells, runs in _bin_runs(g, p, bins, reps, base_seed, workers):
-        outbreaks = sum(is_global_outbreak(o, threshold) for o in runs)
-        mean_size = float(np.mean([o.ever_infected / g.n for o in runs]))
-        rows.append({**cells, "outbreak_fraction": outbreaks / reps, "mean_size": mean_size})
-    return ExperimentReport(
-        kind="seeding",
-        rows=rows,
-        metadata=_sim_metadata(g, p, base_seed, reps, threshold, bins=len(rows)),
-    )
+    plan = _bin_plan(g, bins, reps)
+    return _run_plan("seeding", _outbreak_fold, g, p, plan, reps, base_seed, threshold, workers, bins=len(plan))
 
 
 def immunization_experiment(
@@ -228,34 +248,15 @@ def immunization_experiment(
     if window > n - 1:
         raise ValueError(f"window of {window} nodes leaves no index case on {n} nodes")
     order = np.argsort(ef_result.ef, kind="stable")
-    if scenarios == 1:
-        starts = [0]
-    else:
-        starts = [round(i * (n - window) / (scenarios - 1)) for i in range(scenarios)]
+    starts = [0] if scenarios == 1 else [round(i * (n - window) / (scenarios - 1)) for i in range(scenarios)]
     windows = [order[start : start + window] for start in starts]
-    plan = [(base_seed ^ (sc * _BIN_SEED_STRIDE), None, chosen.tolist()) for sc, chosen in enumerate(windows)]
-    rows = []
-    for sc, runs in enumerate(run_scenarios(g, p, plan, reps, workers)):
-        outbreaks = sum(is_global_outbreak(o, threshold) for o in runs)
-        mean_size = float(np.mean([o.ever_infected / n for o in runs]))
-        rows.append(
-            {
-                "scenario": sc,
-                "window_start": starts[sc],
-                "mean_ef": float(np.mean(ef_result.ef[windows[sc]])),
-                "immunized": window,
-                "reps": reps,
-                "outbreak_fraction": outbreaks / reps,
-                "mean_size": mean_size,
-            }
-        )
-    return ExperimentReport(
-        kind="immunization",
-        rows=rows,
-        metadata=_sim_metadata(
-            g, p, base_seed, reps, threshold, frac=frac, scenarios=scenarios
-        ),
-    )
+    plan = [
+        ({"scenario": sc, "window_start": start, "mean_ef": float(np.mean(ef_result.ef[chosen])),
+          "immunized": window, "reps": reps}, None, chosen.tolist())
+        for sc, (start, chosen) in enumerate(zip(starts, windows))
+    ]
+    return _run_plan("immunization", _outbreak_fold, g, p, plan, reps, base_seed, threshold, workers,
+                     frac=frac, scenarios=scenarios)
 
 
 def timing_report(
@@ -271,37 +272,8 @@ def timing_report(
 
     Bins without a single global outbreak emit null cells.
     """
-    rows = []
-    for cells, runs in _bin_runs(g, p, bins, reps, base_seed, workers):
-        global_runs = [o for o in runs if is_global_outbreak(o, threshold)]
-        if global_runs:
-            mean_peak = float(np.mean([time_to_peak(o) for o in global_runs]))
-            mean_length = float(np.mean([epidemic_length(o) for o in global_runs]))
-        else:
-            mean_peak = None
-            mean_length = None
-        rows.append({**cells, "global_outbreaks": len(global_runs), "mean_time_to_peak": mean_peak,
-                     "mean_length": mean_length})
-    return ExperimentReport(
-        kind="timing",
-        rows=rows,
-        metadata=_sim_metadata(g, p, base_seed, reps, threshold, bins=len(rows)),
-    )
-
-
-def _sim_metadata(g: Graph, p: SirParams, base_seed: int, reps: int, threshold: float, **extra) -> dict:
-    meta = {
-        "nodes": g.n,
-        "edges": g.m,
-        "beta": p.beta,
-        "mu": p.mu,
-        "max_steps": p.max_steps,
-        "base_seed": base_seed,
-        "reps": reps,
-        "threshold": threshold,
-    }
-    meta.update(extra)
-    return meta
+    plan = _bin_plan(g, bins, reps)
+    return _run_plan("timing", _timing_fold, g, p, plan, reps, base_seed, threshold, workers, bins=len(plan))
 
 
 def write_report_csv(report: ExperimentReport, stream) -> None:

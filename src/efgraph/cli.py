@@ -331,15 +331,13 @@ def cmd_centrality(args, manifest) -> None:
 
 
 def _sir_params(g: Graph, args) -> SirParams:
+    """--beta, else beta calibrated for --r0; --mu, else 1/--recovery-days (calibrate's own mu)."""
     cap = step_cap(g) if args.max_steps is None else args.max_steps  # an explicit 0 is refused, not replaced
-    if args.beta is not None and args.mu is not None:
-        return SirParams(beta=args.beta, mu=args.mu, max_steps=cap)
-    p = calibrate(g, r0=args.r0, recovery_days=args.recovery_days)
-    return SirParams(
-        beta=args.beta if args.beta is not None else p.beta,
-        mu=args.mu if args.mu is not None else p.mu,
-        max_steps=cap,
-    )
+    if args.mu is None and not args.recovery_days > 0:  # NaN too; 1/0 would raise ZeroDivisionError
+        raise ValueError(f"recovery_days must be positive, got {args.recovery_days}")
+    mu = 1.0 / args.recovery_days if args.mu is None else args.mu
+    beta = calibrate(g, r0=args.r0, recovery_days=args.recovery_days).beta if args.beta is None else args.beta
+    return SirParams(beta=beta, mu=mu, max_steps=cap)
 
 
 def cmd_simulate(args, manifest) -> None:
@@ -389,23 +387,15 @@ def cmd_analyze(args, manifest) -> None:
         report = correlation_report(
             g, ef_result, others, runs, threshold=args.threshold, min_global=args.min_global
         )
-    elif args.kind == "seeding":
-        bins = ef_bins(ef_result, k=args.bins)
-        report = seeding_experiment(
-            g, p, bins, reps=args.reps, base_seed=args.seed,
-            threshold=args.threshold, workers=args.workers,
-        )
-    elif args.kind == "immunization":
-        report = immunization_experiment(
-            g, p, ef_result, frac=args.immunize_frac, scenarios=args.scenarios,
-            reps=args.reps, base_seed=args.seed, threshold=args.threshold, workers=args.workers,
-        )
-    else:
-        bins = ef_bins(ef_result, k=args.bins)
-        report = timing_report(
-            g, p, bins, reps=args.reps, base_seed=args.seed,
-            threshold=args.threshold, workers=args.workers,
-        )
+    else:  # seeding and timing run per EF bin, immunization per EF rank window
+        if args.kind == "immunization":
+            run, target = immunization_experiment, ef_result
+            extra = {"frac": args.immunize_frac, "scenarios": args.scenarios}
+        else:
+            run = seeding_experiment if args.kind == "seeding" else timing_report
+            target, extra = ef_bins(ef_result, k=args.bins), {}
+        report = run(g, p, target, reps=args.reps, base_seed=args.seed, threshold=args.threshold,
+                     workers=args.workers, **extra)
     manifest["timings_ms"]["experiment"] = _ms_since(t0)
     report.metadata["graph_sha256"] = manifest["graph"]["sha256"]
 

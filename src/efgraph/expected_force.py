@@ -65,7 +65,8 @@ class EFResult:
     """Per-node Expected Force scores plus diagnostics.
 
     Attributes:
-        ef: float64 scores, >= 0
+        ef: float64 scores, >= 0 up to rounding: log(t) - w/t can leave a
+            node with a single cluster a few ulps below 0 (not clamped)
         cluster_total: int64 histogram mass per node
             (2*C(deg(v),2) + sum of (deg(i)-1) over neighbors i)
         flags: uint8 per node, one of the FLAG_* constants

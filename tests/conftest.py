@@ -52,15 +52,22 @@ def small_test_graphs():
     return [build_graph(edges) for edges in specs if edges]
 
 
+def _property(value) -> str:
+    if isinstance(value, dict):
+        return ",".join(f"{key}:{_property(item)}" for key, item in value.items())
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """One visible pass/fail line per acceptance criterion."""
+    """One visible pass/fail line per acceptance criterion, with the properties its test recorded."""
     lines = []
     for status in ("passed", "failed", "error"):
         for report in terminalreporter.stats.get(status, []):
             if "test_acceptance" in report.nodeid and report.when == "call":
                 name = report.nodeid.split("::")[-1]
-                lines.append((name, "PASS" if status == "passed" else "FAIL"))
+                props = "".join(f"  {key}={_property(value)}" for key, value in report.user_properties)
+                lines.append((name, "PASS" if status == "passed" else "FAIL", props))
     if lines:
         terminalreporter.write_sep("-", "acceptance criteria")
-        for name, status in sorted(lines):
-            terminalreporter.write_line(f"{status}  {name}")
+        for name, status, props in sorted(lines):
+            terminalreporter.write_line(f"{status}  {name}{props}")

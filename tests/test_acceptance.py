@@ -98,7 +98,7 @@ def test_c04_parallel_determinism_csv_bytes(tmp_path):
     assert bodies[0] == bodies[1] == bodies[2]
 
 
-def test_c05_performance_trend():
+def test_c05_performance_trend(record_property):
     started = time.perf_counter()
     throughput = {}
     timings = {}
@@ -111,6 +111,8 @@ def test_c05_performance_trend():
         throughput[m] = res.clusters_processed / elapsed_ms
         timings[m] = (g, elapsed_ms)
     band = max(throughput.values()) / min(throughput.values())
+    record_property("band", band)  # the acceptance summary prints these on every run, pass or fail
+    record_property("clusters_per_ms", {f"d{m}": round(x) for m, x in throughput.items()})
     assert band < 3.0, f"cluster throughput varies {band:.2f}x across degrees 2..16"
 
     g16, cluster_ms = timings[16]

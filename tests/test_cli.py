@@ -249,6 +249,40 @@ def test_zero_max_steps_is_refused(tmp_path, command):
     assert manifest["error"] == "max_steps must be >= 1"
 
 
+def _sparse_graph(tmp_path):
+    """R-MAT s6 d2: average degree 3.28, so r0=50 calibrates to beta > 1."""
+    inp = tmp_path / "g.txt"
+    assert _run("generate", "--scale", 6, "--avg-degree", 2, "--seed", 1, "--output", inp) == 0
+    return inp
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_given_beta_skips_calibration(tmp_path, command):
+    inp = _sparse_graph(tmp_path)
+    out = tmp_path / "out"
+    extra = ["--kind", "seeding", "--bins", 2, "--reps", 3] if command == "analyze" else []
+    assert _run(command, "--input", inp, *extra, "--beta", 0.3, "--r0", 50, "--output", out) == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["sir"]["beta"] == 0.3 and manifest["sir"]["mu"] == 1.0 / 3.0
+
+
+def test_calibrated_beta_above_one_is_refused(tmp_path):
+    inp = _sparse_graph(tmp_path)
+    assert _run("simulate", "--input", inp, "--mu", 0.5, "--r0", 50, "--output", tmp_path / "out") == 1
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["error_type"] == "ValueError" and "calibration failed" in manifest["error"]
+
+
+@pytest.mark.parametrize("days", ["0", "-2", "nan"])
+def test_bad_recovery_days_is_a_data_error(tmp_path, capsys, days):
+    inp = _sparse_graph(tmp_path)
+    assert _run("simulate", "--input", inp, "--beta", 0.3, "--recovery-days", days, "--output", tmp_path / "out") == 1
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["error_type"] == "ValueError" and "recovery_days" in manifest["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
 @pytest.mark.parametrize("threshold", ["-1", "nan", "1.5"])
 def test_threshold_outside_unit_interval_is_usage_error(tmp_path, command, threshold):
@@ -276,7 +310,7 @@ def test_threshold_bounds_are_accepted(tmp_path, threshold):
 
 
 def test_sir_outputs_pinned(tmp_path):
-    """SIR output bytes on R-MAT s10 d8 are fixed; digests recorded with the per-replicate kernel (seeding: before the shared CSR gather; correlation: before the one-plan scenario runner)."""
+    """SIR output bytes on R-MAT s10 d8 are fixed; digests recorded with the per-replicate kernel (seeding: before the shared CSR gather; correlation: before the one-plan scenario runner; experiment NDJSON: before the shared plan → run → fold path)."""
     inp = tmp_path / "g.txt"
     assert _run("generate", "--scale", 10, "--avg-degree", 8, "--seed", 1, "--output", inp) == 0
     assert _run("simulate", "--input", inp, "--reps", 200, "--seed", 5, "--output", tmp_path / "sim.ndjson",
@@ -289,7 +323,7 @@ def test_sir_outputs_pinned(tmp_path):
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("sim.ndjson", "forest.csv", "seeding.csv", "immunization.csv", "timing.csv",
-                     "correlation.csv", "correlation.ndjson")
+                     "seeding.ndjson", "immunization.ndjson", "timing.ndjson", "correlation.csv", "correlation.ndjson")
     }
     assert digests == {
         "sim.ndjson": "764951a78233f54a8515b1966d1ff23c5f304fa76ab202eb1c785d645356687c",
@@ -297,6 +331,9 @@ def test_sir_outputs_pinned(tmp_path):
         "seeding.csv": "1fa876b507130b921ce975bd19af5add0c17b5aa41fbb82887d171f95d8870c5",
         "immunization.csv": "a8030600e1b9e5f9ed5306b8755c9d3af0df52ed4817ad21b8cf5e7c9cce45cc",
         "timing.csv": "3a45ae22b794aafa3c491001281d7d53b4d1047306b2326234733be3549127fe",
+        "seeding.ndjson": "a79163d74b10fe83aa4d06f8a9e4d22ba90d87183c005e462730b9de78278f85",
+        "immunization.ndjson": "f6262a264cb0d32dfbfa65b9446efbd51fce7e3a9cb6e41924da21654b5c1e38",
+        "timing.ndjson": "d16faed25bde4ca5ee4489ecfb64d4a505e8cdefb86cfbc381d1cb41e3f749a7",
         "correlation.csv": "297e73639d8770ab0389a1235ffc330d6c9551ffef3180e35d9d661c63b201ef",
         "correlation.ndjson": "acfcf7a90393695effe05de5c096731e5939d4ce7f2a0f0e3d3a6f4e975d367a",
     }
@@ -319,7 +356,7 @@ def test_sir_outputs_pinned_at_two_workers(tmp_path, monkeypatch):
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("sim.ndjson", "forest.csv", "seeding.csv", "immunization.csv", "timing.csv",
-                     "correlation.csv", "correlation.ndjson")
+                     "seeding.ndjson", "immunization.ndjson", "timing.ndjson", "correlation.csv", "correlation.ndjson")
     }
     assert digests == {
         "sim.ndjson": "764951a78233f54a8515b1966d1ff23c5f304fa76ab202eb1c785d645356687c",
@@ -327,6 +364,9 @@ def test_sir_outputs_pinned_at_two_workers(tmp_path, monkeypatch):
         "seeding.csv": "1fa876b507130b921ce975bd19af5add0c17b5aa41fbb82887d171f95d8870c5",
         "immunization.csv": "a8030600e1b9e5f9ed5306b8755c9d3af0df52ed4817ad21b8cf5e7c9cce45cc",
         "timing.csv": "3a45ae22b794aafa3c491001281d7d53b4d1047306b2326234733be3549127fe",
+        "seeding.ndjson": "a79163d74b10fe83aa4d06f8a9e4d22ba90d87183c005e462730b9de78278f85",
+        "immunization.ndjson": "f6262a264cb0d32dfbfa65b9446efbd51fce7e3a9cb6e41924da21654b5c1e38",
+        "timing.ndjson": "d16faed25bde4ca5ee4489ecfb64d4a505e8cdefb86cfbc381d1cb41e3f749a7",
         "correlation.csv": "297e73639d8770ab0389a1235ffc330d6c9551ffef3180e35d9d661c63b201ef",
         "correlation.ndjson": "acfcf7a90393695effe05de5c096731e5939d4ce7f2a0f0e3d3a6f4e975d367a",
     }
