@@ -14,10 +14,10 @@ Four experiment kinds, each returning a tabular ExperimentReport:
 
 Seeding, immunization and timing share one plan -> run -> fold path. An
 experiment builds a plan of (row cells, index case | None, immunized set)
-scenarios, one per bin or immunization window; `_run_plan` runs the whole
-plan with one `run_scenarios` call, so all scenarios share one worker pool,
-and each row is the scenario's cells followed by the experiment's fold of
-its outcomes. Seeding and immunization share the outbreak-fraction /
+scenarios, one per bin or immunization window. `_run_plan` runs it with one
+`run_scenarios` call on one worker pool, which folds each scenario into its
+row (cells, then fold) as its replicates arrive, holding one scenario's
+outcomes at a time. Seeding and immunization share the outbreak-fraction /
 mean-size fold; timing folds over global outbreaks only.
 
 Reports are reproducible: all replicate seeds derive from the base seed.
@@ -175,11 +175,11 @@ def _run_plan(
     """Run a plan of (row cells, index case | None, immunized) scenarios as one replicate plan.
 
     Scenario b runs on seed lane base_seed XOR b * _BIN_SEED_STRIDE; its row
-    is {**cells, **fold(g, outcomes, threshold)}.
+    is {**cells, **fold(g, outcomes, threshold)}, folded as its outcomes arrive.
     """
     scenarios = [(base_seed ^ (b * _BIN_SEED_STRIDE), case, immune) for b, (_, case, immune) in enumerate(plan)]
-    outcomes = run_scenarios(g, p, scenarios, reps, workers)
-    rows = [{**cells, **fold(g, runs, threshold)} for (cells, _, _), runs in zip(plan, outcomes)]
+    folded = run_scenarios(g, p, scenarios, reps, workers, fold=lambda runs: fold(g, list(runs), threshold))
+    rows = [{**cells, **row} for (cells, _, _), row in zip(plan, folded)]
     metadata = {"nodes": g.n, "edges": g.m, "beta": p.beta, "mu": p.mu, "max_steps": p.max_steps,
                 "base_seed": base_seed, "reps": reps, "threshold": threshold, **extra}
     return ExperimentReport(kind=kind, rows=rows, metadata=metadata)

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 I/O or data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -41,7 +42,7 @@ from .centrality import (
     pagerank,
     write_scores_csv,
 )
-from .epidemic import GLOBAL_THRESHOLD, SirParams, calibrate, outcome_record, run_replicates, step_cap
+from .epidemic import GLOBAL_THRESHOLD, SirParams, calibrate, outcome_record, run_replicates, run_scenarios, step_cap
 from .expected_force import ef as compute_ef, write_ef_csv
 from .graph import (
     DEFAULT_RMAT_PROBS,
@@ -241,6 +242,14 @@ def _ms_since(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
+@contextlib.contextmanager
+def _phase(manifest: dict, name: str):
+    """Record the block's wall time as timings_ms[name], only if it succeeds."""
+    t0 = time.perf_counter()
+    yield
+    manifest["timings_ms"][name] = _ms_since(t0)
+
+
 def _write_manifest(args: argparse.Namespace, manifest: dict) -> None:
     output = getattr(args, "output", None)
     if output is None:
@@ -264,11 +273,10 @@ def _fingerprint(g: Graph) -> dict:
 
 
 def _load_graph(path: str, manifest: dict) -> Graph:
-    t0 = time.perf_counter()
-    with open(path, "r", encoding="utf-8") as fh:
-        edges = load_edge_list(fh)
-    g = build_graph(edges)
-    manifest["timings_ms"]["load"] = _ms_since(t0)
+    with _phase(manifest, "load"):
+        with open(path, "r", encoding="utf-8") as fh:
+            edges = load_edge_list(fh)
+        g = build_graph(edges)
     manifest["graph"] = _fingerprint(g)
     return g
 
@@ -280,54 +288,44 @@ def cmd_generate(args, manifest) -> None:
         quadrant_probs=args.probs if args.probs else DEFAULT_RMAT_PROBS,
         seed=args.seed,
     )
-    t0 = time.perf_counter()
-    g, truncated = generate_rmat(params)
-    manifest["timings_ms"]["generate"] = _ms_since(t0)
+    with _phase(manifest, "generate"):
+        g, truncated = generate_rmat(params)
     manifest["graph"] = _fingerprint(g)
     manifest["truncated"] = truncated
-    t0 = time.perf_counter()
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _phase(manifest, "write"), open(args.output, "w", encoding="utf-8") as fh:
         write_edge_list(g, fh)
-    manifest["timings_ms"]["write"] = _ms_since(t0)
 
 
 def cmd_ef(args, manifest) -> None:
     g = _load_graph(args.input, manifest)
-    mode = _MODE_NAMES[args.mode]
-    t0 = time.perf_counter()
-    result = compute_ef(g, mode=mode, workers=args.workers)
-    elapsed = _ms_since(t0)
-    manifest["timings_ms"]["compute"] = elapsed
+    with _phase(manifest, "compute"):
+        result = compute_ef(g, mode=_MODE_NAMES[args.mode], workers=args.workers)
+    elapsed = manifest["timings_ms"]["compute"]
     manifest["time_to_solution_ms"] = elapsed
     manifest["clusters_processed"] = result.clusters_processed
     manifest["clusters_per_ms"] = result.clusters_processed / elapsed if elapsed > 0 else None
-    t0 = time.perf_counter()
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _phase(manifest, "write"), open(args.output, "w", encoding="utf-8") as fh:
         write_ef_csv(g, result, fh)
-    manifest["timings_ms"]["write"] = _ms_since(t0)
 
 
 def cmd_centrality(args, manifest) -> None:
     g = _load_graph(args.input, manifest)
-    t0 = time.perf_counter()
-    if args.metric == "degree":
-        scores = degree_centrality(g)
-    elif args.metric == "pagerank":
-        scores = pagerank(g, damping=args.damping, tol=args.tol, max_iter=args.max_iter)
-        manifest["converged"] = scores.converged
-    else:
-        cost = g.n * g.m
-        if cost > args.budget and not args.force:
-            raise ValueError(
-                f"betweenness is O(n*m) = {cost} > budget {args.budget}; "
-                "re-run with --force to proceed anyway"
-            )
-        scores = betweenness(g, workers=args.workers, cost_budget=args.budget)
-    manifest["timings_ms"]["compute"] = _ms_since(t0)
-    t0 = time.perf_counter()
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _phase(manifest, "compute"):
+        if args.metric == "degree":
+            scores = degree_centrality(g)
+        elif args.metric == "pagerank":
+            scores = pagerank(g, damping=args.damping, tol=args.tol, max_iter=args.max_iter)
+            manifest["converged"] = scores.converged
+        else:
+            cost = g.n * g.m
+            if cost > args.budget and not args.force:
+                raise ValueError(
+                    f"betweenness is O(n*m) = {cost} > budget {args.budget}; "
+                    "re-run with --force to proceed anyway"
+                )
+            scores = betweenness(g, workers=args.workers, cost_budget=args.budget)
+    with _phase(manifest, "write"), open(args.output, "w", encoding="utf-8") as fh:
         write_scores_csv(g, scores, fh)
-    manifest["timings_ms"]["write"] = _ms_since(t0)
 
 
 def _sir_params(g: Graph, args) -> SirParams:
@@ -346,57 +344,58 @@ def cmd_simulate(args, manifest) -> None:
     manifest["sir"] = {"beta": p.beta, "mu": p.mu, "max_steps": p.max_steps}
     index = None
     if args.index is not None:
-        if args.index not in g.relabeling:
+        index = int(np.searchsorted(g.orig_ids, args.index))  # orig_ids ascend
+        if index == g.n or g.orig_ids[index] != args.index:
             raise ValueError(f"index case {args.index} is not a node of the graph")
-        index = g.relabeling[args.index]
-    t0 = time.perf_counter()
-    runs = run_replicates(g, p, args.reps, args.seed, index_case=index, workers=args.workers)
-    manifest["timings_ms"]["simulate"] = _ms_since(t0)
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _phase(manifest, "simulate"):
+        run_scenarios(g, p, [(args.seed, index, ())], args.reps, args.workers,
+                      fold=lambda runs: _write_runs(args, g, runs))
+
+
+def _write_runs(args, g: Graph, runs) -> None:
+    """Write each replicate's NDJSON record, and its forest rows if asked, as the replicates arrive."""
+    with contextlib.ExitStack() as files:
+        out = files.enter_context(open(args.output, "w", encoding="utf-8"))
+        forest = files.enter_context(open(args.forest_output, "w", encoding="utf-8")) if args.forest_output else None
+        if forest:
+            forest.write("replicate,node,parent\n")
         for rep, outcome in enumerate(runs):
-            record = outcome_record(outcome, rep, threshold=args.threshold, orig_ids=g.orig_ids)
-            fh.write(json.dumps(record) + "\n")
-    if args.forest_output:
-        with open(args.forest_output, "w", encoding="utf-8") as fh:
-            fh.write("replicate,node,parent\n")
-            for rep, outcome in enumerate(runs):
+            out.write(json.dumps(outcome_record(outcome, rep, threshold=args.threshold, orig_ids=g.orig_ids)) + "\n")
+            if forest:
                 order = np.argsort(outcome.nodes)
                 nodes = g.orig_ids[outcome.nodes[order]].tolist()
                 parents = outcome.parents[order]
                 par_ids = np.where(parents >= 0, g.orig_ids[parents], -1).tolist()  # original ids are >= 0
-                fh.writelines(f"{rep},{v},{'' if par < 0 else par}\n" for v, par in zip(nodes, par_ids))
+                forest.writelines(f"{rep},{v},{'' if par < 0 else par}\n" for v, par in zip(nodes, par_ids))
 
 
 def cmd_analyze(args, manifest) -> None:
     g = _load_graph(args.input, manifest)
     p = _sir_params(g, args)
     manifest["sir"] = {"beta": p.beta, "mu": p.mu, "max_steps": p.max_steps}
-    t0 = time.perf_counter()
-    ef_result = compute_ef(g, workers=args.workers)
-    manifest["timings_ms"]["ef"] = _ms_since(t0)
+    with _phase(manifest, "ef"):
+        ef_result = compute_ef(g, workers=args.workers)
 
-    t0 = time.perf_counter()
-    if args.kind == "correlation":
-        others = [degree_centrality(g), pagerank(g)]
-        if args.with_betweenness:
-            others.append(betweenness(g, workers=args.workers))
-        manifest["timings_ms"]["centrality"] = _ms_since(t0)
-        t1 = time.perf_counter()
-        runs = run_replicates(g, p, args.reps, args.seed, workers=args.workers)
-        manifest["timings_ms"]["simulate"] = _ms_since(t1)
-        report = correlation_report(
-            g, ef_result, others, runs, threshold=args.threshold, min_global=args.min_global
-        )
-    else:  # seeding and timing run per EF bin, immunization per EF rank window
-        if args.kind == "immunization":
-            run, target = immunization_experiment, ef_result
-            extra = {"frac": args.immunize_frac, "scenarios": args.scenarios}
-        else:
-            run = seeding_experiment if args.kind == "seeding" else timing_report
-            target, extra = ef_bins(ef_result, k=args.bins), {}
-        report = run(g, p, target, reps=args.reps, base_seed=args.seed, threshold=args.threshold,
-                     workers=args.workers, **extra)
-    manifest["timings_ms"]["experiment"] = _ms_since(t0)
+    with _phase(manifest, "experiment"):
+        if args.kind == "correlation":
+            with _phase(manifest, "centrality"):
+                others = [degree_centrality(g), pagerank(g)]
+                if args.with_betweenness:
+                    others.append(betweenness(g, workers=args.workers))
+            with _phase(manifest, "simulate"):
+                runs = run_replicates(g, p, args.reps, args.seed, workers=args.workers)
+            report = correlation_report(
+                g, ef_result, others, runs, threshold=args.threshold, min_global=args.min_global
+            )
+        else:  # seeding and timing run per EF bin, immunization per EF rank window
+            if args.kind == "immunization":
+                run, target = immunization_experiment, ef_result
+                extra = {"frac": args.immunize_frac, "scenarios": args.scenarios}
+            else:
+                run = seeding_experiment if args.kind == "seeding" else timing_report
+                target, extra = ef_bins(ef_result, k=args.bins), {}
+            report = run(g, p, target, reps=args.reps, base_seed=args.seed, threshold=args.threshold,
+                         workers=args.workers, **extra)
     report.metadata["graph_sha256"] = manifest["graph"]["sha256"]
 
     with open(f"{args.output}.csv", "w", encoding="utf-8") as fh:

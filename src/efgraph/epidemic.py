@@ -13,18 +13,20 @@ and reads it in a fixed order per step: one uniform per susceptible contact,
 one per newly infected node (parent pick), one per infectious node
 (recovery). One kernel advances a block of replicates in lockstep over flat
 keys r*n + v, each step one `Graph.expand` gather of the whole block's
-infectious keys, so an outcome does not depend on its block; `run_sir` is
-a block of one. `run_scenarios` concatenates the replicates of several
-scenarios (base seed, index case, immunized set) into one plan, so a batch
-experiment runs all its bins on one pool and a block may mix immunized sets
-row by row; `run_replicates` is its one-scenario call. Blocks run on up to
-`workers` forked processes (`parallel_map`) and are concatenated in plan
-order, so outcomes do not depend on the worker count either. Outcomes are
-int32 arrays in infection order.
+infectious keys, so an outcome does not depend on its block. `run_scenarios`
+is the one entry: it checks every scenario (base seed, index case, immunized
+set), runs their replicates as one plan on one pool (a block may mix
+immunized sets row by row) and folds each scenario as its blocks arrive, so
+only the scenario being folded is held; `run_replicates` (one scenario, kept
+as a list) and `run_sir` (one replicate) are calls of it. Blocks run on up
+to `workers` forked processes (`parallel_map`) in plan order, so outcomes do
+not depend on the worker count either. Outcomes are int32 arrays in
+infection order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -138,26 +140,6 @@ def step_cap(g: Graph) -> int:
     return int(min(max(10 * g.n, 100), 1_000_000))
 
 
-def _simulate(g: Graph, p: SirParams, index_cases, seeds, immunized: list, workers=1) -> list[SimOutcome]:
-    """Validate, then run the replicate rows (index_cases[r], seeds[r], immunized[r]) in lockstep blocks."""
-    if g.n == 0:
-        raise ValueError("cannot simulate on an empty graph")
-    for immune in dict.fromkeys(immunized):
-        for node in immune:
-            if not 0 <= node < g.n:
-                raise ValueError(f"immunized node {node} out of range")
-    for case, immune in dict.fromkeys(zip(index_cases, immunized)):
-        if not 0 <= case < g.n:
-            raise ValueError(f"index case {case} out of range")
-        if case in immune:
-            raise ValueError("index case must not be immunized")
-    size = max(1, _REPLICATE_BUDGET // g.n)
-    starts = range(0, len(seeds), size)
-    blocks = [(index_cases[lo : lo + size], seeds[lo : lo + size], immunized[lo : lo + size]) for lo in starts]
-    runs = parallel_map(lambda block: _run_block(g, p, *block), blocks, workers)
-    return [o for run in runs for o in run]
-
-
 def _draw(rngs: list, sizes: np.ndarray) -> np.ndarray:
     """sizes[r] uniforms from each replicate r's own stream, concatenated in replicate order."""
     live = np.flatnonzero(sizes)
@@ -245,8 +227,8 @@ def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: list) -> l
 
 
 def run_sir(g: Graph, p: SirParams, c: SimConfig) -> SimOutcome:
-    """Run one simulation; deterministic for a fixed rng_seed."""
-    return _simulate(g, p, [c.index_case], [c.rng_seed], [c.immunized])[0]
+    """Run one simulation; deterministic for a fixed rng_seed (taken mod 2^64, as replicate seeds are)."""
+    return run_scenarios(g, p, [(c.rng_seed, c.index_case, c.immunized)], 1)[0][0]
 
 
 def run_replicates(
@@ -267,31 +249,44 @@ def run_replicates(
     return run_scenarios(g, p, [(base_seed, index_case, immunized)], reps, workers)[0]
 
 
-def run_scenarios(g: Graph, p: SirParams, scenarios, reps: int, workers: int = 1) -> list[list[SimOutcome]]:
-    """Run `reps` replicates of each (base_seed, index_case | None, immunized) scenario as one plan.
+def run_scenarios(g: Graph, p: SirParams, scenarios, reps: int, workers: int = 1, fold=list) -> list:
+    """Run `reps` replicates of each (base_seed, index_case | None, immunized) scenario; return their folds.
 
     Replicate r of a scenario has seed base_seed XOR r and the pinned index
     case, or one drawn from that seed's substream among the non-immunized
-    nodes. The concatenated plan runs in lockstep blocks of
-    max(1, _REPLICATE_BUDGET // n) on up to `workers` forked processes,
-    capped at the usable cores; outcomes, one list per scenario, do not
-    depend on the block size or worker count.
+    nodes. All scenarios are checked first. The plan runs in lockstep blocks
+    of max(1, _REPLICATE_BUDGET // n) on up to `workers` forked processes,
+    capped at the usable cores. Returns one fold per scenario, in plan order:
+    fold must consume its iterator over the scenario's `reps` outcomes, which
+    are simulated as it reads. Outcomes do not depend on block size or workers.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if g.n == 0:
+        raise ValueError("cannot simulate on an empty graph")
     cases, seeds, sets = [], [], []
     for base_seed, index_case, immunized in scenarios:
         immunized = frozenset(immunized)
+        for node in immunized:
+            if not 0 <= node < g.n:
+                raise ValueError(f"immunized node {node} out of range")
         if index_case is None and len(immunized) >= g.n:
             raise ValueError("no non-immunized node available as index case")
+        if index_case is not None and not 0 <= index_case < g.n:
+            raise ValueError(f"index case {index_case} out of range")
+        if index_case in immunized:
+            raise ValueError("index case must not be immunized")
         plan = [(base_seed ^ rep) & _SEED_MASK for rep in range(reps)]
         cases += [_random_index(g.n, immunized, s) if index_case is None else index_case for s in plan]
         seeds += plan
         sets += [immunized] * reps
-    outcomes = _simulate(g, p, cases, seeds, sets, workers)
-    return [outcomes[lo : lo + reps] for lo in range(0, len(outcomes), reps)]
+    size = max(1, _REPLICATE_BUDGET // g.n)
+    starts = range(0, len(seeds), size)
+    blocks = [(cases[lo : lo + size], seeds[lo : lo + size], sets[lo : lo + size]) for lo in starts]
+    outcomes = chain.from_iterable(parallel_map(lambda block: _run_block(g, p, *block), blocks, workers))
+    return [fold(islice(outcomes, reps)) for _ in range(len(seeds) // reps)]
 
 
 def _random_index(n: int, immunized: frozenset, seed: int) -> int:

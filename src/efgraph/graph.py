@@ -128,6 +128,8 @@ class RmatParams:
             raise ValueError(f"scale must be in [1, {_MAX_SCALE}] (node ids are int32), got {self.scale}")
         if self.avg_degree < 1:
             raise ValueError("avg_degree must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         probs = tuple(float(p) for p in self.quadrant_probs)
         if len(probs) != 4 or not all(0 <= p < np.inf for p in probs):  # NaN fails every comparison
             raise ValueError("quadrant_probs must be 4 nonnegative reals")

@@ -75,6 +75,17 @@ class TestGenerate:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["generate", "--scale", 6, "--avg-degree", 4, "--seed", -1],
+                                  ["bench", "--scale", 6, "--degrees", 4, "--repeats", 1, "--seed", -5]])
+def test_negative_rmat_seed_is_refused_by_name(tmp_path, argv):
+    out = tmp_path / "out"
+    assert _run(*argv, "--output", out) == 1
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert "seed" in manifest["error"]
+    assert not out.exists()
+
+
 class TestEf:
     def test_star_scores(self, tmp_path):
         inp = tmp_path / "star.txt"
@@ -235,6 +246,26 @@ class TestSimulate:
         _write_star(inp)
         assert _run("simulate", "--input", inp, "--index", 42,
                     "--output", tmp_path / "r.ndjson") == 1
+
+    def test_index_is_an_original_id(self, tmp_path):
+        inp = tmp_path / "gaps.txt"
+        inp.write_text("5 9\n9 12\n")
+        out = tmp_path / "r.ndjson"
+        assert _run("simulate", "--input", inp, "--index", 9, "--beta", 0, "--mu", 1, "--output", out) == 0
+        assert json.loads(out.read_text())["index_case"] == 9
+        for index in (-1, 4, 7, 13, 2**64):
+            assert _run("simulate", "--input", inp, "--index", index, "--beta", 0, "--mu", 1, "--output", out) == 1
+            manifest = json.loads((tmp_path / "r.ndjson.manifest.json").read_text())
+            assert manifest["error"] == f"index case {index} is not a node of the graph"
+
+    def test_zero_reps_leaves_no_output(self, tmp_path):
+        inp = tmp_path / "star.txt"
+        _write_star(inp)
+        out, forest = tmp_path / "runs.ndjson", tmp_path / "forest.csv"
+        assert _run("simulate", "--input", inp, "--reps", 0, "--output", out, "--forest-output", forest) == 1
+        manifest = json.loads((tmp_path / "runs.ndjson.manifest.json").read_text())
+        assert manifest["status"] == "error" and "reps" in manifest["error"]
+        assert not out.exists() and not forest.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "analyze"])

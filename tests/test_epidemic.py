@@ -286,6 +286,36 @@ class TestScenarios:
         assert [o.index_case for o in runs[0]] == [3, 3] and [o.index_case for o in runs[1]] == [4, 4]
         assert [o.immunized_count for o in runs[0] + runs[1]] == [0, 0, 1, 1]
 
+    def test_folds_each_scenario_as_its_blocks_arrive(self, monkeypatch):
+        g = build_graph(er_edges(60, 0.1, 6))
+        params = SirParams(beta=0.3, mu=0.4, max_steps=1000)
+        scenarios = [(21, 4, ()), (22, None, ()), (23, None, frozenset(range(10)))]
+        expected = [run_replicates(g, params, 5, seed, index_case=index, immunized=immune)
+                    for seed, index, immune in scenarios]
+        monkeypatch.setattr(epidemic, "_REPLICATE_BUDGET", 3 * g.n)  # 3 scenarios x 5 reps: 5 blocks of 3
+        events, folded = [], []
+        run_block = epidemic._run_block
+
+        def recording_block(*args):
+            events.append("block")
+            return run_block(*args)
+
+        def fold(runs):
+            folded.append(list(runs))
+            events.append("fold")
+            return len(folded) - 1
+
+        monkeypatch.setattr(epidemic, "_run_block", recording_block)
+        assert run_scenarios(g, params, scenarios, 5, fold=fold) == [0, 1, 2]
+        # scenario 0 (replicates 0-4) is folded once blocks 0-1 are in, before blocks 2-4 run
+        assert events == ["block", "block", "fold", "block", "block", "fold", "block", "fold"]
+        for runs, alone in zip(folded, expected):
+            assert len(runs) == 5
+            for a, b in zip(alone, runs):
+                for name in ("nodes", "parents", "infected_at", "recovered_at", "series"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
+                assert a.index_case == b.index_case
+
 
 class TestSpreadingPower:
     def test_hand_forest(self):
