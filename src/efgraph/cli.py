@@ -104,6 +104,8 @@ def _check_settings(args: argparse.Namespace) -> str | None:
     threshold = getattr(args, "threshold", 0.0)
     if not 0.0 <= threshold <= 1.0:  # NaN fails every comparison
         return f"--threshold must be in [0, 1], got {threshold}"
+    if args.command == "bench" and args.seed < 0:  # bench seeds with --seed + degree, which can hide it
+        return f"--seed must be >= 0, got {args.seed}"
     if getattr(args, "repeats", 1) < 1:
         return f"--repeats must be >= 1, got {args.repeats}"
     if not (getattr(args, "timeout", None) or 0) >= 0:  # unset passes; NaN fails every comparison
@@ -370,6 +372,17 @@ def _write_runs(args, g: Graph, runs) -> None:
 
 
 def cmd_analyze(args, manifest) -> None:
+    # open both outputs first, so a bad --output fails before any work
+    with (
+        open(f"{args.output}.csv", "w", encoding="utf-8") as csv_fh,
+        open(f"{args.output}.ndjson", "w", encoding="utf-8") as ndjson_fh,
+    ):
+        report = _analyze_report(args, manifest)
+        write_report_csv(report, csv_fh)
+        write_report_ndjson(report, ndjson_fh)
+
+
+def _analyze_report(args, manifest):
     g = _load_graph(args.input, manifest)
     p = _sir_params(g, args)
     manifest["sir"] = {"beta": p.beta, "mu": p.mu, "max_steps": p.max_steps}
@@ -397,11 +410,7 @@ def cmd_analyze(args, manifest) -> None:
             report = run(g, p, target, reps=args.reps, base_seed=args.seed, threshold=args.threshold,
                          workers=args.workers, **extra)
     report.metadata["graph_sha256"] = manifest["graph"]["sha256"]
-
-    with open(f"{args.output}.csv", "w", encoding="utf-8") as fh:
-        write_report_csv(report, fh)
-    with open(f"{args.output}.ndjson", "w", encoding="utf-8") as fh:
-        write_report_ndjson(report, fh)
+    return report
 
 
 def cmd_bench(args, manifest) -> None:

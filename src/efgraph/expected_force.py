@@ -14,8 +14,11 @@ Two interchangeable algorithms are provided:
   (middle credits), its neighbors' neighbor-degree counts (wing credits,
   equal-degree wings credited in one batch) and a correction for each
   triangle it belongs to, listed once by the degree-ordered forward
-  algorithm with a linear-probing hash table as the edge test. Every
-  cluster is still credited exactly once to each of its three members.
+  algorithm with a linear-probing hash table as the edge test. A triangle
+  is kept as its members' int32 partner degree sums: the lowest-ranked
+  member's straight from the listing, the other two sorted and counted per
+  member, with no global key array. Every cluster is still credited
+  exactly once to each of its three members.
   Nodes are processed in owner chunks whose dense histogram bins are
   bounded by a fixed budget; each chunk reads its nonzero bins straight
   into the entropy pass as (node, degree, count) rows and drops them.
@@ -202,6 +205,10 @@ class _DegreeClassKernel:
       clusters at t = d_v + a, less the j = x self term at a = d_x;
     * triangle: each triangle {x, b, c} moves its 4 credits of x (2 as the
       middle, 1 per wing) from t = d_b + d_c to t = d_b + d_c - 2.
+
+    Triangles are held per member as int32 t in two parts (see
+    _triangle_partner_sums). Bins sum integer-valued float64 credits, exact
+    below 2^53, so neither entry order nor a repeated t changes any bin.
     """
 
     def __init__(self, g: Graph):
@@ -217,9 +224,9 @@ class _DegreeClassKernel:
         cdeg = keys - cnode * span
         nclass = np.diff(coff)
 
-        self.tri_span = 2 * span - 1
-        self.tri_keys, self.tri_count = _triangle_member_keys(g, deg, owner, nbr, self.tri_span)
-        toff = np.searchsorted(self.tri_keys, np.arange(n + 1) * self.tri_span)
+        self.low_t, self.low_off, self.high_t, self.high_count, self.high_off = _triangle_partner_sums(
+            g, deg, owner, nbr, 2 * span - 1
+        )
 
         # dense bin range per owner: every credit's t lies in [t_lo, t_hi]
         cmin = cdeg[coff[:-1]]
@@ -235,12 +242,11 @@ class _DegreeClassKernel:
         self.cnode, self.cdeg, self.ccnt, self.coff = cnode, cdeg, ccnt.astype(np.float64), coff
         self.class_end = coff[cnode + 1]
         self.slot_cost = nclass[nbr] + 1
-        self.toff = toff
         self.t_lo = t_lo
         self.width = t_hi - t_lo + 1
         self.log_table = _log_table(deg)
         wing = np.add.reduceat(self.slot_cost, starts)
-        self.cost = nclass * (nclass + 1) // 2 + wing + 2 * np.diff(toff) + self.width
+        self.cost = nclass * (nclass + 1) // 2 + wing + 2 * np.diff(self.low_off + self.high_off) + self.width
 
     def scores(self, s: int, e: int):
         """(ef, cluster_total, flags) of owners s..e-1."""
@@ -268,12 +274,11 @@ class _DegreeClassKernel:
         mid_w = np.repeat(2 * ccnt[p], pairs) * ccnt[q]
         mid_w[diag] = ccnt[p] * (ccnt[p] - 1)
 
-        tri = self.tri_keys[self.toff[s] : self.toff[e]]
-        member = tri // self.tri_span
-        tri_base = base[member - s] + tri - member * self.tri_span
-        tri_idx = np.concatenate([tri_base, tri_base - 2])
-        tri_count = 4.0 * self.tri_count[self.toff[s] : self.toff[e]]
-        tri_w = np.concatenate([-tri_count, tri_count])
+        low = np.repeat(base, np.diff(self.low_off[s : e + 1])) + self.low_t[self.low_off[s] : self.low_off[e]]
+        high = np.repeat(base, np.diff(self.high_off[s : e + 1])) + self.high_t[self.high_off[s] : self.high_off[e]]
+        tri_idx = np.concatenate([low, high, low - 2, high - 2])
+        high_w = 4.0 * self.high_count[self.high_off[s] : self.high_off[e]]
+        tri_w = np.concatenate([np.full(low.size, -4.0), -high_w, np.full(low.size, 4.0), high_w])
 
         # every owner has a slot (graphs hold no isolated nodes), so the
         # middle and triangle credits ride along with the first wing batch
@@ -291,16 +296,20 @@ class _DegreeClassKernel:
             idx_parts, w_parts = [], []
 
 
-def _triangle_member_keys(g: Graph, deg, owner, nbr, span: int):
-    """(keys, counts): distinct member * span + t over all triangle members.
+def _triangle_partner_sums(g: Graph, deg, owner, nbr, span: int):
+    """(low_t, low_off, high_t, high_count, high_off): triangle members' int32 partner sums t, CSR by member.
 
-    Keys ascend; counts give how many triangles share each key.
+    low_t[low_off[x]:low_off[x + 1]] holds one t per triangle whose lowest-
+    ranked member is x; high_t[high_off[x]:high_off[x + 1]] the distinct t,
+    ascending, of the triangles where x is one of the other two, and
+    high_count how many triangles share each. t < span.
 
-    t is the degree sum of the member's two triangle partners. Triangles are
-    listed once each by the degree-ordered forward algorithm (Schank &
-    Wagner 2005; Latapy 2008): orient every edge toward the endpoint of
-    higher (degree, id) rank and test the wedges of each node's forward
-    neighbors, of which there are at most O(sqrt(m)).
+    Triangles are listed once each by the degree-ordered forward algorithm
+    (Schank & Wagner 2005; Latapy 2008): orient every edge toward the
+    endpoint of higher (degree, id) rank and test the wedges of each node's
+    forward neighbors, of which there are at most O(sqrt(m)). The listing
+    runs in forward-slot order, so the lowest members arrive grouped; only
+    the other two members' keys are sorted and run-length counted.
     """
     n = g.n
     rank = np.empty(n, dtype=np.int64)
@@ -314,28 +323,42 @@ def _triangle_member_keys(g: Graph, deg, owner, nbr, span: int):
     und = owner < nbr
     table = _edge_table(owner[und] * np.int64(n) + nbr[und])
 
-    # a wedge closes at most one triangle, of 3 member keys; np.empty pages are
-    # committed only as written, so this bound costs address space, not memory
-    keys = np.empty(3 * int(later.sum()), dtype=np.int64)
+    # a wedge closes at most one triangle; np.empty pages are committed only
+    # as written, so this bound costs address space, not memory
+    wedges = int(later.sum())
+    low_t = np.empty(wedges, dtype=np.int32)
+    low_off = np.zeros(n + 1, dtype=np.int64)
+    high = np.empty(2 * wedges, dtype=np.int64)
     k = 0
-    for b0, b1 in _budget_ranges(later, _ENTRY_BUDGET):
+    for b0, b1 in _budget_ranges(later, _ENTRY_BUDGET // 4):  # a batch's wedge-sized arrays share one budget
         first = np.arange(b0, b1)
         wings = later[b0:b1]
         a = np.repeat(fv[first], wings)
         b = fv[grouped_arange(first + 1, wings)[0]]
         hit = _in_table(table, a * np.int64(n) + b)  # a < b: forward slots ascend
-        tri = (np.repeat(fu[first], wings)[hit], a[hit], b[hit])
-        total = deg[tri[0]] + deg[tri[1]] + deg[tri[2]]
-        for x in tri:
-            keys[k : k + x.size] = x * span + total - deg[x]
-            k += x.size
+        u, a, b = np.repeat(fu[first], wings)[hit], a[hit], b[hit]
+        if not u.size:
+            continue
+        total = deg[u] + deg[a] + deg[b]
+        low_t[k : k + u.size] = total - deg[u]
+        low_off[u[0] + 1 : u[-1] + 2] += np.bincount(u - u[0])  # u ascends
+        high[2 * k : 2 * k + u.size] = a * span + total - deg[a]
+        high[2 * k + u.size : 2 * (k + u.size)] = b * span + total - deg[b]
+        k += u.size
     del table
-    keys = keys[:k]
-    keys.sort()
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
+    low_t.resize(k, refcheck=False)
+    np.cumsum(low_off, out=low_off)
+    high = high[: 2 * k]
+    high.sort()
+    first = np.ones(high.size, dtype=bool)
+    first[1:] = high[1:] != high[:-1]
     starts = np.flatnonzero(first)
-    return keys[starts], np.diff(starts, append=keys.size)
+    keys = high[starts]
+    del high, first
+    high_off = np.searchsorted(keys, np.arange(n + 1) * span)
+    high_t = (keys % span).astype(np.int32)
+    high_count = np.diff(starts, append=2 * k).astype(np.int32)
+    return low_t, low_off, high_t, high_count, high_off
 
 
 def _edge_table(codes: np.ndarray) -> np.ndarray:

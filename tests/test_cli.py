@@ -79,7 +79,7 @@ class TestGenerate:
                                   ["bench", "--scale", 6, "--degrees", 4, "--repeats", 1, "--seed", -5]])
 def test_negative_rmat_seed_is_refused_by_name(tmp_path, argv):
     out = tmp_path / "out"
-    assert _run(*argv, "--output", out) == 1
+    assert _run(*argv, "--output", out) == (2 if argv[0] == "bench" else 1)  # bench checks --seed as a setting
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     assert manifest["status"] == "error"
     assert "seed" in manifest["error"]
@@ -524,6 +524,15 @@ class TestAnalyze:
                         "--seed", 1, "--output", prefix, *extra) == 0
             assert (tmp_path / f"{kind}.csv").exists()
 
+    def test_unwritable_output_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
+        inp = tmp_path / "star.txt"
+        _write_star(inp)
+        monkeypatch.setattr(cli, "compute_ef", lambda *a, **k: pytest.fail("EF computed"))
+        monkeypatch.setattr(cli, "seeding_experiment", lambda *a, **k: pytest.fail("experiment run"))
+        prefix = tmp_path / "missing" / "seeding"
+        assert _run("analyze", "--input", inp, "--kind", "seeding", "--bins", 2, "--output", prefix) == 1
+        assert f"{prefix}.csv" in capsys.readouterr().err
+
 
 class TestBench:
     def test_small_sweep(self, tmp_path):
@@ -557,6 +566,16 @@ class TestBench:
         assert manifest["status"] == "error"
         assert manifest["error_type"] == "usage"
         assert flag in manifest["error"]
+        assert not out.exists()
+
+    def test_negative_seed_is_usage_error_even_when_seed_plus_degree_is_not(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "generate_rmat", lambda params: pytest.fail("graph generated"))
+        out = tmp_path / "bench.csv"
+        assert _run("bench", "--scale", 4, "--degrees", 4, "--repeats", 1, "--seed", -3, "--output", out) == 2
+        manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error_type"] == "usage"
+        assert manifest["error"] == "--seed must be >= 0, got -3"
         assert not out.exists()
 
     def test_cells_in_sweep_order_one_graph_per_degree(self, tmp_path, monkeypatch):
