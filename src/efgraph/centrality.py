@@ -159,7 +159,7 @@ def _block_dependencies(g: Graph, sources: np.ndarray) -> np.ndarray:
         dist[key] = depth + 1
         paths = np.bincount(key, weights=sigma.take(front).take(parent), minlength=keys)
         levels.append((front, parent, key))
-        front = np.flatnonzero(paths)
+        front = np.flatnonzero(paths != 0)  # paths sums positive sigmas; a bool mask scans faster than float
         sigma[front] = paths.take(front)
         front_cost = int(deg.take(front % n).sum())
         unseen_cost -= front_cost

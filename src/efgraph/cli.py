@@ -87,8 +87,8 @@ def main(argv=None) -> int:
     try:
         args.func(args, manifest)
         rc = 0
-    except (ValueError, OSError) as exc:
-        _record_error(args, manifest, str(exc), type(exc).__name__)
+    except (ValueError, OSError, MemoryError) as exc:  # a bare MemoryError has no message
+        _record_error(args, manifest, str(exc) or type(exc).__name__, type(exc).__name__)
         rc = 1
     except Exception as exc:  # still leave a manifest behind, then report the traceback
         _record_error(args, manifest, str(exc), type(exc).__name__)
@@ -246,9 +246,13 @@ def _ms_since(t0: float) -> float:
 
 @contextlib.contextmanager
 def _phase(manifest: dict, name: str):
-    """Record the block's wall time as timings_ms[name], only if it succeeds."""
+    """Record the block's wall time as timings_ms[name] if it succeeds, else name the innermost failed phase."""
     t0 = time.perf_counter()
-    yield
+    try:
+        yield
+    except Exception:
+        manifest.setdefault("failed_phase", name)
+        raise
     manifest["timings_ms"][name] = _ms_since(t0)
 
 

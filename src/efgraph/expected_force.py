@@ -17,8 +17,11 @@ Two interchangeable algorithms are provided:
   algorithm with a linear-probing hash table as the edge test. A triangle
   is kept as its members' int32 partner degree sums: the lowest-ranked
   member's straight from the listing, the other two sorted and counted per
-  member, with no global key array. Every cluster is still credited
-  exactly once to each of its three members.
+  member, with no global key array. The set-up is 32-bit: node ids are
+  int32, products are formed in int64, and the other two members' keys are
+  int32 local keys in member-range buckets, each sorted and counted on its
+  own. Every cluster is still credited exactly once to each of its three
+  members.
   Nodes are processed in owner chunks whose dense histogram bins are
   bounded by a fixed budget; each chunk reads its nonzero bins straight
   into the entropy pass as (node, degree, count) rows and drops them.
@@ -60,6 +63,7 @@ FLAG_NO_CLUSTERS = 1  # node participates in no cluster (e.g. isolated edge)
 FLAG_ZERO_DEGREE_CLUSTERS = 2  # clusters exist but all have degree 0
 
 _ENTRY_BUDGET = 1 << 18  # histogram entries plus dense bins held by one chunk or batch
+_KEY_LIMIT = 2**31 - 1  # int32 local triangle keys stay below this
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd, near 2^64 / golden ratio
 
 
@@ -207,17 +211,19 @@ class _DegreeClassKernel:
       middle, 1 per wing) from t = d_b + d_c to t = d_b + d_c - 2.
 
     Triangles are held per member as int32 t in two parts (see
-    _triangle_partner_sums). Bins sum integer-valued float64 credits, exact
-    below 2^53, so neither entry order nor a repeated t changes any bin.
+    _triangle_partner_sums). Node ids (owner, nbr: the graph's own int32
+    neighbor array) stay int32; class keys and edge codes are formed in
+    int64. Bins sum integer-valued float64 credits, exact below 2^53, so
+    neither entry order nor a repeated t changes any bin.
     """
 
     def __init__(self, g: Graph):
         n = g.n
         deg = g.degrees()
-        owner = np.repeat(np.arange(n, dtype=np.int64), deg)
-        nbr = g.neighbors.astype(np.int64)
+        owner = np.repeat(np.arange(n, dtype=np.int32), deg)
+        nbr = g.neighbors
         span = int(deg.max()) + 1
-        keys, ccnt = np.unique(owner * span + deg[nbr], return_counts=True)
+        keys, ccnt = np.unique(owner * np.int64(span) + deg[nbr], return_counts=True)
         cnode = keys // span
         coff = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(cnode, minlength=n), out=coff[1:])
@@ -285,9 +291,9 @@ class _DegreeClassKernel:
         idx_parts, w_parts = [mid_idx, tri_idx], [mid_w, tri_w]
         o0, o1 = self.offsets[s], self.offsets[e]
         for b0, b1 in _budget_ranges(self.slot_cost[o0:o1], _ENTRY_BUDGET):
-            v = self.nbr[o0 + b0 : o0 + b1]
-            x = self.owner[o0 + b0 : o0 + b1]
-            nclass = self.coff[v + 1] - self.coff[v]
+            v = self.nbr[o0 + b0 : o0 + b1].astype(np.intp)  # one cast, not one per gather
+            x = self.owner[o0 + b0 : o0 + b1].astype(np.intp)
+            nclass = self.slot_cost[o0 + b0 : o0 + b1] - 1
             cls = grouped_arange(self.coff[v], nclass)[0]
             slot_base = base[x - s] + deg[v]
             idx_parts += [np.repeat(slot_base, nclass) + cdeg[cls], slot_base + deg[x]]
@@ -310,10 +316,18 @@ def _triangle_partner_sums(g: Graph, deg, owner, nbr, span: int):
     forward neighbors, of which there are at most O(sqrt(m)). The listing
     runs in forward-slot order, so the lowest members arrive grouped; only
     the other two members' keys are sorted and run-length counted.
+
+    Node ids stay int32 (products are formed in int64). The other two
+    members' keys are int32 local keys (x % w) * span + t in buckets of
+    w = _KEY_LIMIT // span consecutive members, so they fit at any n. Each
+    bucket fills its own region of the 2 * wedges bound, sized by its
+    members' share of the wedges, and is sorted and counted on its own; the
+    buckets join in member order (the partitioned listing of Chu & Cheng,
+    KDD 2011). Graphs with n * span <= _KEY_LIMIT have one bucket.
     """
     n = g.n
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    rank = np.empty(n, dtype=np.int32)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int32)
     fwd = rank[owner] < rank[nbr]
     fu = owner[fwd]
     fv = nbr[fwd]
@@ -323,12 +337,19 @@ def _triangle_partner_sums(g: Graph, deg, owner, nbr, span: int):
     und = owner < nbr
     table = _edge_table(owner[und] * np.int64(n) + nbr[und])
 
-    # a wedge closes at most one triangle; np.empty pages are committed only
-    # as written, so this bound costs address space, not memory
+    # a wedge closes at most one triangle, and the node of forward slot j is
+    # a higher member in at most fdeg(fu[j]) - 1 of them; np.empty pages are
+    # committed only as written, so this bound costs address space, not memory
     wedges = int(later.sum())
     low_t = np.empty(wedges, dtype=np.int32)
     low_off = np.zeros(n + 1, dtype=np.int64)
-    high = np.empty(2 * wedges, dtype=np.int64)
+    w = _KEY_LIMIT // span  # members per bucket
+    nbuckets = (n - 1) // w + 1
+    region = np.zeros(nbuckets + 1, dtype=np.int64)
+    share = np.bincount(fv // w, weights=np.diff(foff)[fu] - 1, minlength=nbuckets)  # exact below 2^53
+    np.cumsum(share.astype(np.int64), out=region[1:])
+    fill = region[:-1].copy()
+    high = np.empty(2 * wedges, dtype=np.int32)
     k = 0
     for b0, b1 in _budget_ranges(later, _ENTRY_BUDGET // 4):  # a batch's wedge-sized arrays share one budget
         first = np.arange(b0, b1)
@@ -339,26 +360,46 @@ def _triangle_partner_sums(g: Graph, deg, owner, nbr, span: int):
         u, a, b = np.repeat(fu[first], wings)[hit], a[hit], b[hit]
         if not u.size:
             continue
-        total = deg[u] + deg[a] + deg[b]
-        low_t[k : k + u.size] = total - deg[u]
+        du, da, db = deg[u], deg[a], deg[b]
+        low_t[k : k + u.size] = da + db
         low_off[u[0] + 1 : u[-1] + 2] += np.bincount(u - u[0])  # u ascends
-        high[2 * k : 2 * k + u.size] = a * span + total - deg[a]
-        high[2 * k + u.size : 2 * (k + u.size)] = b * span + total - deg[b]
         k += u.size
+        x = np.concatenate([a, b])
+        key = x % w * np.int64(span) + np.concatenate([du + db, du + da])
+        count = [key.size]
+        if nbuckets > 1:  # partition by bucket; a stable argsort of uint8/uint16 ids is a radix sort
+            bucket = (x // w).astype(np.min_scalar_type(nbuckets - 1))
+            key = key[np.argsort(bucket, kind="stable")]
+            count = np.bincount(bucket, minlength=nbuckets)
+        for i, part in enumerate(np.split(key, np.cumsum(count)[:-1])):
+            high[fill[i] : fill[i] + part.size] = part
+        fill += count
     del table
     low_t.resize(k, refcheck=False)
     np.cumsum(low_off, out=low_off)
-    high = high[: 2 * k]
-    high.sort()
-    first = np.ones(high.size, dtype=bool)
-    first[1:] = high[1:] != high[:-1]
-    starts = np.flatnonzero(first)
-    keys = high[starts]
-    del high, first
-    high_off = np.searchsorted(keys, np.arange(n + 1) * span)
-    high_t = (keys % span).astype(np.int32)
-    high_count = np.diff(starts, append=2 * k).astype(np.int32)
-    return low_t, low_off, high_t, high_count, high_off
+
+    t_parts, count_parts, off_parts = [], [], []
+    held = 0
+    for i in range(nbuckets):  # run-length count each bucket in place; temporaries stay int32 where they can
+        keys = high[region[i] : fill[i]]
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(first)
+        del first
+        t = keys[starts]
+        count = np.empty(t.size, dtype=np.int32)
+        np.subtract(starts[1:], starts[:-1], out=count[:-1], casting="unsafe")
+        count[-1:] = keys.size - starts[-1:]
+        del starts
+        off_parts.append(held + np.searchsorted(t, np.arange(0, min(w, n - i * w) * span, span, dtype=np.int32)))
+        t %= span
+        t_parts.append(t)
+        count_parts.append(count)
+        held += t.size
+    del high, keys
+    high_off = np.concatenate(off_parts + [[held]])
+    return low_t, low_off, np.concatenate(t_parts), np.concatenate(count_parts), high_off
 
 
 def _edge_table(codes: np.ndarray) -> np.ndarray:

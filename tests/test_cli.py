@@ -143,6 +143,24 @@ class TestEf:
         assert manifest["error_type"] == "RuntimeError"
         assert "Traceback" in capsys.readouterr().err
 
+    def test_out_of_memory_is_a_clean_data_error(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 180. MiB for an array")
+
+        monkeypatch.setattr("efgraph.cli.compute_ef", exhausted)
+        inp = tmp_path / "star.txt"
+        _write_star(inp)
+        out = tmp_path / "ef.csv"
+        assert _run("ef", "--input", inp, "--output", out) == 1
+        manifest = json.loads((tmp_path / "ef.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error_type"] == "MemoryError"
+        assert manifest["failed_phase"] == "compute"
+        assert "load" in manifest["timings_ms"] and "compute" not in manifest["timings_ms"]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == ["efgraph ef: error: Unable to allocate 180. MiB for an array"]
+
     def test_unreadable_input(self, tmp_path):
         out = tmp_path / "ef.csv"
         assert _run("ef", "--input", tmp_path / "missing.txt", "--output", out) == 1

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -269,6 +270,58 @@ class TestTriangleKeys:
         assert longest_chain > 1  # linear probing past the home slot is exercised
 
 
+def _partner_sum_counts(n, low_t, low_off, high_t, high_count, high_off):
+    """{(member, t): triangles} from _triangle_partner_sums' two CSR parts."""
+    got = {}
+    for x in range(n):
+        lows = [(t, 1) for t in low_t[low_off[x] : low_off[x + 1]].tolist()]
+        highs = zip(high_t[high_off[x] : high_off[x + 1]].tolist(), high_count[high_off[x] : high_off[x + 1]].tolist())
+        for t, c in lows + list(highs):
+            got[(x, t)] = got.get((x, t), 0) + c
+    return got
+
+
+def _brute_partner_sum_counts(g):
+    """{(member, t): triangles}, each triangle found by intersecting the neighbor sets of its edges' endpoints."""
+    deg = g.degrees().tolist()
+    adj = [set(g.adjacency(x).tolist()) for x in range(g.n)]
+    want = {}
+    for x in range(g.n):
+        for y in adj[x]:
+            if x < y:
+                for z in adj[x] & adj[y]:
+                    if y < z:  # x < y < z: once per triangle
+                        for v, t in ((x, deg[y] + deg[z]), (y, deg[x] + deg[z]), (z, deg[x] + deg[y])):
+                            want[(v, t)] = want.get((v, t), 0) + 1
+    return want
+
+
+class TestBucketedKeys:
+    def test_split_buckets_match_one_bucket_and_vertex_centric(self, monkeypatch):
+        graphs = _mixed_random_graphs(200) + _edge_case_graphs()[1:]
+        want = [(ef_cluster_centric(g), ef_vertex_centric(g)) for g in graphs]
+        for g, (one_bucket, vertex) in zip(graphs, want):
+            span = 2 * int(g.degrees().max()) + 1  # the span the kernel passes to the listing
+            for limit in (span, 7 * span + 5):  # 1 and 7 members per bucket
+                monkeypatch.setattr(ef_module, "_KEY_LIMIT", limit)
+                got = ef_cluster_centric(g)
+                _assert_bitwise_equal(got, one_bucket)
+                _assert_bitwise_equal(got, vertex)
+
+    def test_star_with_chords_beyond_int32_products(self):
+        leaves = 50_000
+        g = build_graph(star_edges(leaves) + [(i, i + 1) for i in range(1, leaves, 2)])
+        deg = g.degrees()
+        assert g.n * (int(deg.max()) + 1) > 2**31  # class keys, edge codes and member keys overflow int32 products
+        kernel = ef_module._DegreeClassKernel(g)
+        sums = (kernel.low_t, kernel.low_off, kernel.high_t, kernel.high_count, kernel.high_off)
+        assert _partner_sum_counts(g.n, *sums) == _brute_partner_sum_counts(g)
+        classes = [sorted(Counter(deg[g.adjacency(x)].tolist()).items()) for x in range(g.n)]
+        assert list(zip(kernel.cnode.tolist(), kernel.cdeg.tolist(), kernel.ccnt.tolist())) == [
+            (x, d, float(c)) for x, cls in enumerate(classes) for d, c in cls
+        ]
+
+
 class TestMemoryBound:
     def test_peak_allocation_follows_entry_budget(self):
         g, _ = generate_rmat(RmatParams(scale=13, avg_degree=16, seed=1))
@@ -300,3 +353,17 @@ class TestMemoryBound:
         # int32 sums for the lowest member and int64 keys only for the other
         # two. The bound sits 7 MB above the second and 9 MB below the first.
         assert peak < 38e6
+
+    def test_setup_keeps_ids_and_keys_in_32_bits(self):
+        g, _ = generate_rmat(RmatParams(scale=13, avg_degree=16, seed=1))
+        tracemalloc.start()
+        try:
+            ef_module._DegreeClassKernel(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Measured set-up peaks here (traced, so the full 2 * wedges bound of
+        # higher-member keys counts): 29.3 MiB with int64 node ids and int64
+        # keys, 21.4 MiB with int32 ids and bucketed int32 keys. The bound sits
+        # 3.6 MiB above the second and 4.3 MiB below the first.
+        assert peak < 25 * 2**20
