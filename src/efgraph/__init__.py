@@ -19,11 +19,9 @@ from .expected_force import (
     write_ef_csv,
 )
 from .epidemic import (
-    SimConfig,
     SimOutcome,
     SirParams,
     calibrate,
-    epidemic_length,
     is_global_outbreak,
     outcome_record,
     run_replicates,

@@ -37,7 +37,6 @@ from .epidemic import (
     GLOBAL_THRESHOLD,
     SirParams,
     descendant_sums,
-    epidemic_length,
     is_global_outbreak,
     run_scenarios,
     time_to_peak,
@@ -203,7 +202,7 @@ def _outbreak_fold(g: Graph, runs, threshold: float) -> dict:
 def _timing_fold(g: Graph, runs, threshold: float) -> dict:
     global_runs = [o for o in runs if is_global_outbreak(o, threshold)]
     peak, length = [float(np.mean([f(o) for o in global_runs])) if global_runs else None
-                    for f in (time_to_peak, epidemic_length)]
+                    for f in (time_to_peak, lambda o: o.steps)]
     return {"global_outbreaks": len(global_runs), "mean_time_to_peak": peak, "mean_length": length}
 
 

@@ -106,8 +106,11 @@ def _check_settings(args: argparse.Namespace) -> str | None:
         return f"--threshold must be in [0, 1], got {threshold}"
     if args.command == "bench" and args.seed < 0:  # bench seeds with --seed + degree, which can hide it
         return f"--seed must be >= 0, got {args.seed}"
-    if getattr(args, "repeats", 1) < 1:
-        return f"--repeats must be >= 1, got {args.repeats}"
+    for flag, low in (("repeats", 1), ("bins", 1), ("scenarios", 1), ("min_global", 0)):
+        if getattr(args, flag, low) < low:
+            return f"--{flag.replace('_', '-')} must be >= {low}, got {getattr(args, flag)}"
+    if not 0.0 < getattr(args, "immunize_frac", 0.5) < 1.0:  # NaN fails every comparison
+        return f"--immunize-frac must be in (0, 1), got {args.immunize_frac}"
     if not (getattr(args, "timeout", None) or 0) >= 0:  # unset passes; NaN fails every comparison
         return f"--timeout must be >= 0, got {args.timeout}"
     for flag in ("degrees", "workers", "modes"):  # bench takes lists

@@ -14,18 +14,18 @@ one per newly infected node (parent pick), one per infectious node
 (recovery). One kernel advances a block of replicates in lockstep over flat
 keys r*n + v, each step one `Graph.expand` gather of the whole block's
 infectious keys, so an outcome does not depend on its block. `run_scenarios`
-is the one entry: it checks every scenario (base seed, index case, immunized
-set), runs their replicates as one plan on one pool (a block may mix
-immunized sets row by row) and folds each scenario as its blocks arrive, so
-only the scenario being folded is held; `run_replicates` (one scenario, kept
-as a list) and `run_sir` (one replicate) are calls of it. Blocks run on up
-to `workers` forked processes (`parallel_map`) in plan order, so outcomes do
-not depend on the worker count either. Outcomes are int32 arrays in
-infection order.
+is the one entry and the one place a scenario (base seed, index case,
+immunized set) is checked: it runs the scenarios' replicates as one plan on
+one pool (a block may mix immunized sets row by row) and folds each
+scenario as its blocks arrive, so only the scenario being folded is held.
+`run_replicates` (one scenario, kept as a list) and `run_sir` (one
+replicate) are calls of it. Blocks run on up to `workers` forked processes
+(`parallel_map`) in plan order, so outcomes do not depend on the worker
+count either. Outcomes are int32 arrays in infection order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
@@ -35,7 +35,6 @@ from .parallel import parallel_map
 
 __all__ = [
     "SirParams",
-    "SimConfig",
     "SimOutcome",
     "GLOBAL_THRESHOLD",
     "calibrate",
@@ -47,7 +46,6 @@ __all__ = [
     "spreading_power",
     "is_global_outbreak",
     "time_to_peak",
-    "epidemic_length",
     "outcome_record",
 ]
 
@@ -74,18 +72,6 @@ class SirParams:
             raise ValueError("max_steps must be >= 1")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    index_case: int
-    immunized: frozenset[int] = field(default_factory=frozenset)
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "immunized", frozenset(self.immunized))
-        if self.index_case in self.immunized:
-            raise ValueError("index case must not be immunized")
-
-
 @dataclass
 class SimOutcome:
     """One SIR run, held as arrays.
@@ -95,7 +81,9 @@ class SimOutcome:
     node in infection order (by step, then node id; the index case first):
     its infector in `parents` (-1 for the index case), the step it became
     infected and the step it recovered (-1 if still infectious at
-    truncation).
+    truncation). `steps`, the epidemic's length, is the first step with no
+    infectious node, or max_steps if truncated: only infectious nodes infect,
+    so an untruncated run ends on the step its last node recovers.
     """
 
     series: np.ndarray
@@ -226,9 +214,9 @@ def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: list) -> l
     return outcomes
 
 
-def run_sir(g: Graph, p: SirParams, c: SimConfig) -> SimOutcome:
+def run_sir(g: Graph, p: SirParams, index_case: int, immunized=frozenset(), rng_seed: int = 0) -> SimOutcome:
     """Run one simulation; deterministic for a fixed rng_seed (taken mod 2^64, as replicate seeds are)."""
-    return run_scenarios(g, p, [(c.rng_seed, c.index_case, c.immunized)], 1)[0][0]
+    return run_scenarios(g, p, [(rng_seed, index_case, immunized)], 1)[0][0]
 
 
 def run_replicates(
@@ -349,12 +337,6 @@ def time_to_peak(o: SimOutcome) -> int:
     return int(np.argmax(o.series[:, 1]))
 
 
-def epidemic_length(o: SimOutcome) -> int:
-    """First step with zero infectious nodes, or the step cap if truncated: `o.steps`, since only infectious
-    nodes infect (the count never leaves zero) and an untruncated run ends on the step its last node recovers."""
-    return o.steps
-
-
 def outcome_record(o: SimOutcome, replicate: int, threshold: float = GLOBAL_THRESHOLD, orig_ids=None) -> dict:
     """Flat summary of one run for NDJSON output."""
     index = o.index_case if orig_ids is None else int(orig_ids[o.index_case])
@@ -365,6 +347,6 @@ def outcome_record(o: SimOutcome, replicate: int, threshold: float = GLOBAL_THRE
         "global": is_global_outbreak(o, threshold),
         "steps": o.steps,
         "time_to_peak": time_to_peak(o),
-        "length": epidemic_length(o),
+        "length": o.steps,
         "direct_infections": o.direct_infections_by_index,
     }

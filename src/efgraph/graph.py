@@ -13,10 +13,8 @@ source per lane) to their neighbors' keys lane*n + w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 import io
 import os
-from types import MappingProxyType
 
 import numpy as np
 
@@ -52,9 +50,8 @@ class Graph:
         offsets: int64 array of length n+1; adjacency of v is
             neighbors[offsets[v]:offsets[v+1]], strictly ascending
         neighbors: int32 array of length 2m
-        orig_ids: int64 array mapping dense id -> original id (ascending)
-        relabeling: read-only mapping original id -> dense id, built from
-            orig_ids on first use
+        orig_ids: int64 array mapping dense id -> original id (ascending),
+            so np.searchsorted(orig_ids, x) is the dense id of original id x
     """
 
     n: int
@@ -62,10 +59,6 @@ class Graph:
     offsets: np.ndarray
     neighbors: np.ndarray
     orig_ids: np.ndarray
-
-    @cached_property
-    def relabeling(self) -> MappingProxyType:
-        return MappingProxyType(dict(zip(self.orig_ids.tolist(), range(self.n))))
 
     def _check_id(self, v: int) -> None:
         if not 0 <= v < self.n:

@@ -13,7 +13,7 @@ from scipy import stats
 
 from efgraph.analysis import correlation_report, ef_bins, immunization_experiment, seeding_experiment
 from efgraph.centrality import betweenness, degree_centrality, pagerank
-from efgraph.epidemic import SimConfig, SirParams, calibrate, run_replicates, run_sir
+from efgraph.epidemic import SirParams, calibrate, run_replicates, run_sir
 from efgraph.expected_force import ef_cluster_centric, ef_vertex_centric
 from efgraph.graph import RmatParams, build_graph, cluster_count, generate_rmat
 from efgraph.cli import main as cli_main
@@ -146,7 +146,7 @@ def test_c07_sir_invariants_small_graphs():
         # stochastic runs: conservation + forest validity at every step
         p = SirParams(beta=0.35, mu=0.4, max_steps=5000)
         for seed in range(5):
-            o = run_sir(g, p, SimConfig(index_case=seed % g.n, rng_seed=seed))
+            o = run_sir(g, p, seed % g.n, rng_seed=seed)
             assert np.all(o.series.sum(axis=1) == g.n)
             assert np.all(np.diff(o.series[:, 0]) <= 0)
             assert o.nodes[o.parents < 0].tolist() == [o.index_case]
@@ -162,7 +162,7 @@ def test_c07_sir_invariants_small_graphs():
         # deterministic wave equals BFS distances from every index case
         wave = SirParams(beta=1.0, mu=1.0, max_steps=5000)
         for index in range(g.n):
-            o = run_sir(g, wave, SimConfig(index_case=index, rng_seed=7))
+            o = run_sir(g, wave, index, rng_seed=7)
             dist = bfs_distances(adj, int(g.orig_ids[index]))
             assert o.ever_infected == len(dist)
             for dense, step in zip(o.nodes.tolist(), o.infected_at.tolist()):

@@ -347,6 +347,20 @@ def test_threshold_outside_unit_interval_is_usage_error(tmp_path, command, thres
     assert not out.exists() and not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--bins", 0), ("--scenarios", 0), ("--min-global", -3),
+                                        ("--immunize-frac", 0), ("--immunize-frac", 1), ("--immunize-frac", "nan")])
+def test_bad_experiment_flag_is_refused_before_load(tmp_path, flag, value):
+    inp = tmp_path / "star.txt"
+    _write_star(inp)
+    out = tmp_path / "out"
+    assert _run("analyze", "--input", inp, "--kind", "immunization", flag, value, "--output", out) == 2
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["error_type"] == "usage"
+    assert flag in manifest["error"]
+    assert "load" not in manifest["timings_ms"]
+    assert not out.exists() and not (tmp_path / "out.csv").exists() and not (tmp_path / "out.ndjson").exists()
+
+
 @pytest.mark.parametrize("threshold", ["0", "1"])
 def test_threshold_bounds_are_accepted(tmp_path, threshold):
     inp = tmp_path / "star.txt"

@@ -5,11 +5,9 @@ import pytest
 
 from efgraph import epidemic
 from efgraph.epidemic import (
-    SimConfig,
     SimOutcome,
     SirParams,
     calibrate,
-    epidemic_length,
     is_global_outbreak,
     outcome_record,
     run_replicates,
@@ -53,8 +51,8 @@ class TestParams:
             SirParams(beta=0.5, mu=0.5, max_steps=0)
 
     def test_index_not_immunized(self):
-        with pytest.raises(ValueError):
-            SimConfig(index_case=1, immunized=frozenset({1}))
+        with pytest.raises(ValueError, match="index case must not be immunized"):
+            run_sir(build_graph(path_edges(3)), SirParams(0.1, 0.5, 10), 1, immunized=frozenset({1}))
 
 
 class TestCalibrate:
@@ -88,17 +86,16 @@ class TestCalibrate:
 class TestRunSir:
     def test_no_transmission(self):
         g = build_graph(star_edges(5))
-        o = run_sir(g, SirParams(beta=0.0, mu=0.5, max_steps=1000), SimConfig(index_case=0, rng_seed=9))
+        o = run_sir(g, SirParams(beta=0.0, mu=0.5, max_steps=1000), 0, rng_seed=9)
         assert o.ever_infected == 1
         assert o.direct_infections_by_index == 0
-        assert epidemic_length(o) == o.steps
         assert time_to_peak(o) == 0
 
     def test_deterministic_wave_matches_bfs(self):
         for edges in (path_edges(9), cycle_edges(8), star_edges(6), er_edges(40, 0.12, 7)):
             g = build_graph(edges)
             dist = bfs_distances(adjacency(edges), int(g.orig_ids[0]))
-            o = run_sir(g, SirParams(beta=1.0, mu=1.0, max_steps=1000), SimConfig(index_case=0, rng_seed=1))
+            o = run_sir(g, SirParams(beta=1.0, mu=1.0, max_steps=1000), 0, rng_seed=1)
             assert o.ever_infected == len(dist)
             infected = dict(zip(o.nodes.tolist(), o.infected_at.tolist()))
             for dense, step in zip(o.nodes.tolist(), o.infected_at.tolist()):
@@ -106,13 +103,13 @@ class TestRunSir:
             for dense, par in zip(o.nodes.tolist(), o.parents.tolist()):
                 if par >= 0:
                     assert infected[par] == infected[dense] - 1
-            assert epidemic_length(o) == max(dist.values()) + 1
+            assert o.steps == max(dist.values()) + 1
 
     def test_conservation_and_monotonicity(self):
         g = build_graph(er_edges(60, 0.1, 3))
         p = calibrate(g)
         for seed in range(10):
-            o = run_sir(g, p, SimConfig(index_case=seed % g.n, rng_seed=seed))
+            o = run_sir(g, p, seed % g.n, rng_seed=seed)
             s = o.series
             assert np.all(s.sum(axis=1) == g.n)
             assert np.all(np.diff(s[:, 0]) <= 0)  # S nonincreasing
@@ -123,7 +120,7 @@ class TestRunSir:
         g = build_graph(er_edges(50, 0.15, 11))
         p = SirParams(beta=0.4, mu=0.3, max_steps=10_000)
         for seed in range(10):
-            o = run_sir(g, p, SimConfig(index_case=0, rng_seed=seed))
+            o = run_sir(g, p, 0, rng_seed=seed)
             assert o.nodes[o.parents < 0].tolist() == [0]
             infected = dict(zip(o.nodes.tolist(), o.infected_at.tolist()))
             recovered = dict(zip(o.nodes.tolist(), o.recovered_at.tolist()))
@@ -138,16 +135,15 @@ class TestRunSir:
     def test_reproducibility(self):
         g = build_graph(er_edges(50, 0.1, 2))
         p = calibrate(g)
-        cfg = SimConfig(index_case=3, rng_seed=12345)
-        a = run_sir(g, p, cfg)
-        b = run_sir(g, p, cfg)
+        a = run_sir(g, p, 3, rng_seed=12345)
+        b = run_sir(g, p, 3, rng_seed=12345)
         assert np.array_equal(a.series, b.series)
         for name in ("nodes", "parents", "infected_at", "recovered_at"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_outcome_arrays_in_infection_order(self):
         g = build_graph(er_edges(40, 0.15, 5))
-        o = run_sir(g, SirParams(beta=0.5, mu=0.5, max_steps=100), SimConfig(index_case=2, rng_seed=4))
+        o = run_sir(g, SirParams(beta=0.5, mu=0.5, max_steps=100), 2, rng_seed=4)
         assert o.nodes.dtype == o.parents.dtype == o.infected_at.dtype == o.recovered_at.dtype == np.int32
         assert o.ever_infected > 1
         assert (o.nodes[0], o.parents[0], o.infected_at[0]) == (2, -1, 0)  # the index case first
@@ -161,7 +157,7 @@ class TestRunSir:
         o = run_sir(
             g,
             SirParams(beta=1.0, mu=1.0, max_steps=100),
-            SimConfig(index_case=1, immunized=frozenset({0}), rng_seed=0),
+            1, immunized=frozenset({0}), rng_seed=0,
         )
         # center immunized: the leaf index can infect nobody
         assert o.ever_infected == 1
@@ -169,16 +165,15 @@ class TestRunSir:
 
     def test_truncation(self):
         g = build_graph(path_edges(6))
-        o = run_sir(g, SirParams(beta=1.0, mu=1e-12, max_steps=3), SimConfig(index_case=0, rng_seed=0))
+        o = run_sir(g, SirParams(beta=1.0, mu=1e-12, max_steps=3), 0, rng_seed=0)
         assert o.truncated and o.steps == 3
-        assert epidemic_length(o) == 3
 
     def test_bad_config(self):
         g = build_graph(path_edges(3))
         with pytest.raises(ValueError):
-            run_sir(g, SirParams(0.1, 0.5, 10), SimConfig(index_case=99, rng_seed=0))
+            run_sir(g, SirParams(0.1, 0.5, 10), 99, rng_seed=0)
         with pytest.raises(ValueError):
-            run_sir(g, SirParams(0.1, 0.5, 10), SimConfig(index_case=0, immunized=frozenset({77}), rng_seed=0))
+            run_sir(g, SirParams(0.1, 0.5, 10), 0, immunized=frozenset({77}), rng_seed=0)
 
 
 class TestReplicates:
@@ -227,9 +222,8 @@ class TestReplicates:
                 for name in ("steps", "truncated", "direct_infections_by_index", "index_case"):
                     assert getattr(a, name) == getattr(b, name), name
         for rep, o in enumerate(runs[1]):  # a block of one is run_sir
-            lone = run_sir(g, params, SimConfig(index_case=o.index_case,
-                                                immunized=kwargs.get("immunized", frozenset()),
-                                                rng_seed=31 ^ rep))
+            lone = run_sir(g, params, o.index_case, immunized=kwargs.get("immunized", frozenset()),
+                           rng_seed=31 ^ rep)
             assert np.array_equal(lone.series, o.series) and np.array_equal(lone.parents, o.parents)
 
     def test_worker_count_invariant_over_blocks(self, monkeypatch):
@@ -406,13 +400,11 @@ class TestOutbreakStats:
     def test_peak_and_length_series(self):
         o = _forest_outcome({0: None}, {0: 0}, n=8)
         o.series = np.array([[7, 1, 0], [4, 3, 1], [1, 3, 4], [0, 1, 7], [0, 0, 8]])
-        o.steps = 4
         assert time_to_peak(o) == 1  # earliest maximum
-        assert epidemic_length(o) == 4
 
     def test_record_schema(self):
         g = build_graph(star_edges(4))
-        o = run_sir(g, SirParams(0.0, 1.0, 50), SimConfig(index_case=0, rng_seed=0))
+        o = run_sir(g, SirParams(0.0, 1.0, 50), 0, rng_seed=0)
         rec = outcome_record(o, 3, orig_ids=g.orig_ids)
         assert set(rec) == {
             "replicate", "index_case", "ever_infected", "global",

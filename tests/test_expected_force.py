@@ -245,7 +245,7 @@ class TestTriangleKeys:
             edges = [(int(g.orig_ids[u]), int(g.orig_ids[v])) for u, v in zip(owner, nbr)]
             want = {}
             for tri in triangles(adjacency(edges)):
-                dense = [g.relabeling[x] for x in tri]
+                dense = np.searchsorted(g.orig_ids, tri).tolist()
                 for x in dense:
                     key = x * span + sum(int(deg[y]) for y in dense if y != x)
                     want[key] = want.get(key, 0) + 1

@@ -126,7 +126,6 @@ class TestBuildGraph:
     def test_dense_relabeling(self):
         g = build_graph([(5, 9)])
         assert (g.n, g.m) == (2, 1)
-        assert g.relabeling == {5: 0, 9: 1}
         assert g.orig_ids.tolist() == [5, 9]
 
     def test_empty_and_self_loop_only(self):
@@ -144,7 +143,6 @@ class TestBuildGraph:
             assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int32
             for v, o in enumerate(g.orig_ids.tolist()):
                 assert g.orig_ids[g.adjacency(v)].tolist() == sorted(adj[o])
-                assert g.relabeling[o] == v
 
     def test_isolated_nodes_absent(self):
         # node 7 appears only in a self-loop: dropped entirely
