@@ -11,11 +11,9 @@ from .graph import (
 )
 from .expected_force import (
     EFResult,
-    cluster_degree,
     ef,
     ef_cluster_centric,
     ef_vertex_centric,
-    entropy_from_histogram,
     write_ef_csv,
 )
 from .epidemic import (

@@ -57,6 +57,13 @@ from .parallel import usable_cores
 
 _MODE_NAMES = {"cluster": "cluster_centric", "vertex": "vertex_centric"}
 _WORKERS_HELP = "worker processes, at most the usable cores (default: $EFGRAPH_WORKERS, else 1)"
+_DOMAINS = {  # flag -> (test, rule); NaN fails every comparison, so every test
+    "threshold": (lambda v: 0.0 <= v <= 1.0, "be in [0, 1]"),
+    "immunize_frac": (lambda v: 0.0 < v < 1.0, "be in (0, 1)"),
+    "min_global": (lambda v: v >= 0, "be >= 0"),
+    "timeout": (lambda v: v >= 0, "be >= 0"),
+    **dict.fromkeys(("reps", "bins", "scenarios", "repeats", "degrees", "workers"), (lambda v: v >= 1, "be >= 1")),
+}
 
 
 def main(argv=None) -> int:
@@ -100,26 +107,18 @@ def main(argv=None) -> int:
 
 
 def _check_settings(args: argparse.Namespace) -> str | None:
-    """Refuse a bad flag value or an empty bench list, fill an unset --workers from EFGRAPH_WORKERS; return a usage error, if any."""
-    threshold = getattr(args, "threshold", 0.0)
-    if not 0.0 <= threshold <= 1.0:  # NaN fails every comparison
-        return f"--threshold must be in [0, 1], got {threshold}"
+    """Refuse a flag value outside its _DOMAINS entry or an empty bench list, fill an unset --workers from EFGRAPH_WORKERS; return a usage error, if any."""
     if args.command == "bench" and args.seed < 0:  # bench seeds with --seed + degree, which can hide it
         return f"--seed must be >= 0, got {args.seed}"
-    for flag, low in (("repeats", 1), ("bins", 1), ("scenarios", 1), ("min_global", 0)):
-        if getattr(args, flag, low) < low:
-            return f"--{flag.replace('_', '-')} must be >= {low}, got {getattr(args, flag)}"
-    if not 0.0 < getattr(args, "immunize_frac", 0.5) < 1.0:  # NaN fails every comparison
-        return f"--immunize-frac must be in (0, 1), got {args.immunize_frac}"
-    if not (getattr(args, "timeout", None) or 0) >= 0:  # unset passes; NaN fails every comparison
-        return f"--timeout must be >= 0, got {args.timeout}"
-    for flag in ("degrees", "workers", "modes"):  # bench takes lists
-        if getattr(args, flag, None) == []:
-            return f"--{flag} must list at least one value"
-    value = getattr(args, "workers", None)
-    values = value if isinstance(value, list) else [value]
-    if value is not None and min(values) < 1:
-        return f"--workers must be >= 1, got {value}"
+    for key, value in vars(args).items():
+        flag = "--" + key.replace("_", "-")
+        if value == []:  # bench takes lists
+            return f"{flag} must list at least one value"
+        if key in _DOMAINS and value is not None:  # an unset --timeout or --workers passes
+            test, rule = _DOMAINS[key]
+            for item in value if isinstance(value, list) else [value]:
+                if not test(item):
+                    return f"{flag} must {rule}, got {item}"
     if not hasattr(args, "workers") or args.workers is not None:
         return None
     raw = os.environ.get("EFGRAPH_WORKERS", "1")
@@ -426,12 +425,12 @@ def cmd_bench(args, manifest) -> None:
     timed_out = False
     graph_degree = None
     for degree, mode, workers in itertools.product(args.degrees, args.modes, args.workers):
+        if args.timeout is not None and time.perf_counter() - started >= args.timeout:
+            timed_out = True
+            break
         if degree != graph_degree:  # one graph per degree, generated before its first cell
             g, _ = generate_rmat(RmatParams(scale=args.scale, avg_degree=degree, seed=args.seed + degree))
             graph_degree = degree
-        if args.timeout is not None and time.perf_counter() - started > args.timeout:
-            timed_out = True
-            break
         times = []
         for _ in range(args.repeats):
             t0 = time.perf_counter()

@@ -38,7 +38,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-import math
 
 import numpy as np
 
@@ -50,8 +49,6 @@ __all__ = [
     "FLAG_OK",
     "FLAG_NO_CLUSTERS",
     "FLAG_ZERO_DEGREE_CLUSTERS",
-    "cluster_degree",
-    "entropy_from_histogram",
     "ef_cluster_centric",
     "ef_vertex_centric",
     "ef",
@@ -87,46 +84,6 @@ class EFResult:
     cluster_total: np.ndarray
     flags: np.ndarray
     clusters_processed: int
-
-
-def cluster_degree(g: Graph, i: int, v: int, j: int) -> int:
-    """Out-degree of the cluster with middle v and wings i, j.
-
-    Counts edges from {i, v, j} to the rest of the graph: the degree sum
-    minus the four tree-edge endpoints, minus two more if i-j closes a
-    triangle.
-    """
-    if i == j:
-        raise ValueError("cluster wings must be distinct")
-    if not (g.has_edge(v, i) and g.has_edge(v, j)):
-        raise ValueError(f"({i}, {v}, {j}) is not a middle-node triplet")
-    d = g.degree(v) + g.degree(i) + g.degree(j) - 4
-    if g.has_edge(i, j):
-        d -= 2
-    return d
-
-
-def entropy_from_histogram(h) -> float:
-    """Entropy of the normalized cluster-degree distribution.
-
-    h maps cluster degree -> cluster count. With T the total degree mass,
-    each cluster of degree d contributes weight d/T; degree-0 clusters and
-    the empty histogram carry no mass (0 * log 0 := 0, T = 0 => 0).
-    Natural logarithm.
-    """
-    items = sorted(h.items())
-    total = 0
-    for d, c in items:
-        if d < 0 or c < 0:
-            raise ValueError("histogram keys and counts must be non-negative")
-        total += d * c
-    if total == 0:
-        return 0.0
-    w = 0.0
-    for d, c in items:
-        if d > 0:
-            w += c * d * math.log(d)
-    return math.log(total) - w / total
 
 
 def ef(g: Graph, mode: str = "cluster_centric", workers: int = 1) -> EFResult:

@@ -280,7 +280,7 @@ class TestSimulate:
         inp = tmp_path / "star.txt"
         _write_star(inp)
         out, forest = tmp_path / "runs.ndjson", tmp_path / "forest.csv"
-        assert _run("simulate", "--input", inp, "--reps", 0, "--output", out, "--forest-output", forest) == 1
+        assert _run("simulate", "--input", inp, "--reps", 0, "--output", out, "--forest-output", forest) == 2
         manifest = json.loads((tmp_path / "runs.ndjson.manifest.json").read_text())
         assert manifest["status"] == "error" and "reps" in manifest["error"]
         assert not out.exists() and not forest.exists()
@@ -589,7 +589,7 @@ class TestBench:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--degrees", ","), ("--workers", ","), ("--modes", ","),
-                                            ("--timeout", -1), ("--timeout", "nan")])
+                                            ("--timeout", -1), ("--timeout", "nan"), ("--degrees", "4,0")])
     def test_empty_sweep_is_usage_error(self, tmp_path, monkeypatch, flag, value):
         monkeypatch.setattr(cli, "generate_rmat", lambda params: pytest.fail("graph generated"))
         out = tmp_path / "bench.csv"
@@ -637,6 +637,13 @@ class TestBench:
         assert manifest["timed_out"] is True
         assert manifest["cells"] < 3
 
+    def test_timeout_is_checked_before_generating_a_graph(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "generate_rmat", lambda params: pytest.fail("graph generated"))
+        out = tmp_path / "bench.csv"
+        assert _run("bench", "--scale", 6, "--degrees", "2,16", "--timeout", 0, "--output", out) == 0
+        manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
+        assert manifest["cells"] == 0 and manifest["timed_out"] is True
+
 
 class TestTopLevel:
     def test_no_command_prints_help(self):
@@ -676,6 +683,8 @@ class TestTopLevel:
             ("simulate", "--workers", 0),
             ("analyze", "--kind", "correlation", "--workers", -1),
             ("centrality", "--metric", "betweenness", "--workers", 0),
+            ("simulate", "--reps", 0),
+            ("analyze", "--kind", "seeding", "--reps", 0),
         ],
     )
     def test_bad_count_flag_is_usage_error(self, tmp_path, argv):

@@ -10,11 +10,9 @@ from efgraph.expected_force import (
     FLAG_NO_CLUSTERS,
     FLAG_OK,
     FLAG_ZERO_DEGREE_CLUSTERS,
-    cluster_degree,
     ef,
     ef_cluster_centric,
     ef_vertex_centric,
-    entropy_from_histogram,
 )
 from efgraph.graph import RmatParams, build_graph, cluster_count, generate_rmat
 
@@ -30,44 +28,30 @@ def _assert_matches_oracle(edges, result, g, tol=1e-9):
         assert result.ef[dense] == pytest.approx(want, abs=tol)
 
 
-class TestClusterDegree:
-    def test_triangle_is_closed(self):
-        g = build_graph([(0, 1), (1, 2), (0, 2)])
-        assert cluster_degree(g, 0, 1, 2) == 0
-
-    def test_isolated_path(self):
-        g = build_graph(path_edges(3))  # 0-1-2
-        assert cluster_degree(g, 0, 1, 2) == 0
-
-    def test_star_with_extra_leaf(self):
-        g = build_graph(star_edges(3))  # center 0, leaves 1,2,3
-        assert cluster_degree(g, 1, 0, 2) == 1
-
-    def test_rejects_non_triplet(self):
-        g = build_graph(path_edges(4))
-        with pytest.raises(ValueError):
-            cluster_degree(g, 0, 1, 1)
-        with pytest.raises(ValueError):
-            cluster_degree(g, 0, 1, 3)  # 3 not adjacent to middle 1
+def _entropy(hist):
+    """Score of one node whose cluster-degree histogram is hist, through the shared entropy pass."""
+    degs = np.array(sorted(hist), dtype=np.int64)
+    counts = np.array([hist[d] for d in sorted(hist)], dtype=np.int64)
+    log_table = ef_module._log_table(np.array([max(hist, default=0)]))
+    efv, _, flags = ef_module._scores_from_histograms(1, np.zeros(degs.size, np.int64), degs, counts, log_table)
+    want_flag = FLAG_NO_CLUSTERS if not hist else FLAG_ZERO_DEGREE_CLUSTERS if set(hist) == {0} else FLAG_OK
+    assert flags[0] == want_flag
+    return efv[0]
 
 
 class TestEntropy:
     def test_uniform_six(self):
-        assert entropy_from_histogram({1: 6}) == pytest.approx(math.log(6), abs=1e-12)
+        assert _entropy({1: 6}) == pytest.approx(math.log(6), abs=1e-12)
 
     def test_empty_and_zero_degree(self):
-        assert entropy_from_histogram({}) == 0.0
-        assert entropy_from_histogram({0: 4}) == 0.0
+        assert _entropy({}) == 0.0
+        assert _entropy({0: 4}) == 0.0
 
     def test_mixed_degrees(self):
-        assert entropy_from_histogram({1: 2, 2: 1}) == pytest.approx(1.5 * math.log(2), abs=1e-12)
+        assert _entropy({1: 2, 2: 1}) == pytest.approx(1.5 * math.log(2), abs=1e-12)
 
     def test_zero_key_ignored_alongside_mass(self):
-        assert entropy_from_histogram({0: 10, 1: 6}) == pytest.approx(math.log(6), abs=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            entropy_from_histogram({-1: 2})
+        assert _entropy({0: 10, 1: 6}) == pytest.approx(math.log(6), abs=1e-12)
 
 
 class TestClosedForms:
