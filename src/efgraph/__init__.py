@@ -38,11 +38,14 @@ from .centrality import (
 from .analysis import (
     EFBin,
     ExperimentReport,
+    SpreadingSums,
     correlation_report,
     ef_bins,
     immunization_experiment,
+    merge_sums,
     pearson,
     seeding_experiment,
+    spreading_sums,
     timing_report,
     write_report_csv,
     write_report_ndjson,

@@ -12,13 +12,17 @@ Four experiment kinds, each returning a tabular ExperimentReport:
 * timing: time to epidemic peak and epidemic length per EF bin, over
   global outbreaks only.
 
+Every experiment reduces outcomes where their replicate block runs, so the
+caller never holds them: correlation ships per-block `SpreadingSums`,
+which `merge_sums` adds exactly into one (4, n) total.
+
 Seeding, immunization and timing share one plan -> run -> fold path. An
 experiment builds a plan of (row cells, index case | None, immunized set)
 scenarios, one per bin or immunization window. `_run_plan` runs it with one
-`run_scenarios` call on one worker pool, which folds each scenario into its
-row (cells, then fold) as its replicates arrive, holding one scenario's
-outcomes at a time. Seeding and immunization share the outbreak-fraction /
-mean-size fold; timing folds over global outbreaks only.
+`run_scenarios` call on one worker pool, whose blocks ship four integers per
+run, and folds each scenario into its row (cells, then fold) as its blocks
+arrive. Seeding and immunization share the outbreak-fraction / mean-size
+fold; timing folds over global outbreaks only.
 
 Reports are reproducible: all replicate seeds derive from the base seed.
 Scenario b runs on seed lane base_seed XOR b * 2^32, a rule `_run_plan`
@@ -26,7 +30,9 @@ alone applies.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import reduce
 import csv
 import json
 import math
@@ -49,6 +55,9 @@ __all__ = [
     "EFBin",
     "pearson",
     "ef_bins",
+    "SpreadingSums",
+    "spreading_sums",
+    "merge_sums",
     "correlation_report",
     "seeding_experiment",
     "immunization_experiment",
@@ -113,38 +122,53 @@ def ef_bins(ef_result: EFResult, k: int = 10) -> list[EFBin]:
     return bins
 
 
+@dataclass
+class SpreadingSums:
+    """Per-node forest descendants within depth 1..max_depth, (max_depth, n), over the global outbreaks of some runs.
+
+    The sums are integers in float64, exact below 2^53, so any split of the runs adds up to the same bytes.
+    """
+
+    descendants: np.ndarray
+    global_runs: int
+    simulations: int
+    threshold: float
+
+
+def spreading_sums(runs, n: int, threshold: float = GLOBAL_THRESHOLD) -> SpreadingSums:
+    """The correlation experiment's reduction of a list of runs (depths 1..4), taken where their block runs."""
+    global_runs = [o for o in runs if is_global_outbreak(o, threshold)]
+    return SpreadingSums(descendant_sums(global_runs, n)[0], len(global_runs), len(runs), threshold)
+
+
+def merge_sums(parts) -> SpreadingSums:
+    """Add SpreadingSums parts in order."""
+    return reduce(lambda a, b: SpreadingSums(a.descendants + b.descendants, a.global_runs + b.global_runs,
+                                             a.simulations + b.simulations, a.threshold), parts)
+
+
 def correlation_report(
     g: Graph,
     ef_result: EFResult,
     others,
-    outcomes,
-    threshold: float = GLOBAL_THRESHOLD,
+    sums: SpreadingSums,
     min_global: int = 100,
     orders=(1, 2, 3, 4),
 ) -> ExperimentReport:
-    """Pearson r between each metric and spreading power of order 1..4.
+    """Pearson r between each metric and spreading power of order 1..4: sums' descendants per global outbreak.
 
     Only runs that qualified as global outbreaks feed the spreading-power
     averages. If fewer than min_global such runs are available the report
     still comes out, with a warning row recording the shortfall.
     """
-    outcomes = list(outcomes)
-    global_runs = [o for o in outcomes if is_global_outbreak(o, threshold)]
     rows: list[dict] = []
-    if len(global_runs) < min_global:
-        rows.append(
-            {
-                "metric": "warning",
-                "order": None,
-                "pearson_r": None,
-                "note": f"only {len(global_runs)} global outbreaks (< {min_global})",
-            }
-        )
+    if sums.global_runs < min_global:
+        rows.append({"metric": "warning", "order": None, "pearson_r": None,
+                     "note": f"only {sums.global_runs} global outbreaks (< {min_global})"})
     metrics: dict[str, np.ndarray] = {"exp_ef": np.exp(ef_result.ef)}
     for cs in others:
         metrics[cs.metric] = np.asarray(cs.values, dtype=np.float64)
-    power, _ = descendant_sums(global_runs, g.n, max(orders))
-    power /= max(len(global_runs), 1)  # mean depth-d descendants per node, zeros for no runs
+    power = sums.descendants / max(sums.global_runs, 1)  # mean depth-d descendants per node
     for name, vals in metrics.items():
         for d in orders:
             try:
@@ -154,18 +178,12 @@ def correlation_report(
                 r = None
                 note = str(exc)
             rows.append({"metric": name, "order": d, "pearson_r": r, "note": note})
-    return ExperimentReport(
-        kind="correlation",
-        rows=rows,
-        metadata={
-            "nodes": g.n,
-            "edges": g.m,
-            "simulations": len(outcomes),
-            "global_outbreaks": len(global_runs),
-            "threshold": threshold,
-            "min_global": min_global,
-        },
-    )
+    metadata = {"nodes": g.n, "edges": g.m, "simulations": sums.simulations, "global_outbreaks": sums.global_runs,
+                "threshold": sums.threshold, "min_global": min_global}
+    return ExperimentReport(kind="correlation", rows=rows, metadata=metadata)
+
+
+_RunSummary = namedtuple("_RunSummary", "outbreak ever_infected time_to_peak steps")  # what the folds read of a run
 
 
 def _run_plan(
@@ -174,10 +192,12 @@ def _run_plan(
     """Run a plan of (row cells, index case | None, immunized) scenarios as one replicate plan.
 
     Scenario b runs on seed lane base_seed XOR b * _BIN_SEED_STRIDE; its row
-    is {**cells, **fold(g, outcomes, threshold)}, folded as its outcomes arrive.
+    is {**cells, **fold(g, its runs' _RunSummary)}, folded as its blocks arrive.
     """
     scenarios = [(base_seed ^ (b * _BIN_SEED_STRIDE), case, immune) for b, (_, case, immune) in enumerate(plan)]
-    folded = run_scenarios(g, p, scenarios, reps, workers, fold=lambda runs: fold(g, list(runs), threshold))
+    folded = run_scenarios(g, p, scenarios, reps, workers, fold=lambda runs: fold(g, list(runs)),
+                           part=lambda runs: [_RunSummary(is_global_outbreak(o, threshold), o.ever_infected,
+                                                          time_to_peak(o), o.steps) for o in runs])
     rows = [{**cells, **row} for (cells, _, _), row in zip(plan, folded)]
     metadata = {"nodes": g.n, "edges": g.m, "beta": p.beta, "mu": p.mu, "max_steps": p.max_steps,
                 "base_seed": base_seed, "reps": reps, "threshold": threshold, **extra}
@@ -193,16 +213,16 @@ def _bin_plan(g: Graph, bins, reps: int) -> list:
     ]
 
 
-def _outbreak_fold(g: Graph, runs, threshold: float) -> dict:
-    outbreaks = sum(is_global_outbreak(o, threshold) for o in runs)
-    mean_size = float(np.mean([o.ever_infected / g.n for o in runs]))
+def _outbreak_fold(g: Graph, runs) -> dict:
+    outbreaks = sum(r.outbreak for r in runs)
+    mean_size = float(np.mean([r.ever_infected / g.n for r in runs]))
     return {"outbreak_fraction": outbreaks / len(runs), "mean_size": mean_size}
 
 
-def _timing_fold(g: Graph, runs, threshold: float) -> dict:
-    global_runs = [o for o in runs if is_global_outbreak(o, threshold)]
-    peak, length = [float(np.mean([f(o) for o in global_runs])) if global_runs else None
-                    for f in (time_to_peak, lambda o: o.steps)]
+def _timing_fold(g: Graph, runs) -> dict:
+    global_runs = [r for r in runs if r.outbreak]
+    peak, length = [float(np.mean([getattr(r, f) for r in global_runs])) if global_runs else None
+                    for f in ("time_to_peak", "steps")]
     return {"global_outbreaks": len(global_runs), "mean_time_to_peak": peak, "mean_length": length}
 
 

@@ -30,7 +30,9 @@ from .analysis import (
     correlation_report,
     ef_bins,
     immunization_experiment,
+    merge_sums,
     seeding_experiment,
+    spreading_sums,
     timing_report,
     write_report_csv,
     write_report_ndjson,
@@ -62,7 +64,8 @@ _DOMAINS = {  # flag -> (test, rule); NaN fails every comparison, so every test
     "immunize_frac": (lambda v: 0.0 < v < 1.0, "be in (0, 1)"),
     "min_global": (lambda v: v >= 0, "be >= 0"),
     "timeout": (lambda v: v >= 0, "be >= 0"),
-    **dict.fromkeys(("reps", "bins", "scenarios", "repeats", "degrees", "workers"), (lambda v: v >= 1, "be >= 1")),
+    **dict.fromkeys(("avg_degree", "reps", "bins", "scenarios", "repeats", "degrees", "workers"),
+                    (lambda v: v >= 1, "be >= 1")),
 }
 
 
@@ -401,11 +404,10 @@ def _analyze_report(args, manifest):
                 others = [degree_centrality(g), pagerank(g)]
                 if args.with_betweenness:
                     others.append(betweenness(g, workers=args.workers))
-            with _phase(manifest, "simulate"):
-                runs = run_replicates(g, p, args.reps, args.seed, workers=args.workers)
-            report = correlation_report(
-                g, ef_result, others, runs, threshold=args.threshold, min_global=args.min_global
-            )
+            with _phase(manifest, "simulate"):  # each block ships its sums, not its outcomes
+                sums = run_replicates(g, p, args.reps, args.seed, workers=args.workers,
+                                      part=lambda runs: [spreading_sums(runs, g.n, args.threshold)], fold=merge_sums)
+            report = correlation_report(g, ef_result, others, sums, min_global=args.min_global)
         else:  # seeding and timing run per EF bin, immunization per EF rank window
             if args.kind == "immunization":
                 run, target = immunization_experiment, ef_result

@@ -16,9 +16,10 @@ keys r*n + v, each step one `Graph.expand` gather of the whole block's
 infectious keys, so an outcome does not depend on its block. `run_scenarios`
 is the one entry and the one place a scenario (base seed, index case,
 immunized set) is checked: it runs the scenarios' replicates as one plan on
-one pool (a block may mix immunized sets row by row) and folds each
-scenario as its blocks arrive, so only the scenario being folded is held.
-`run_replicates` (one scenario, kept as a list) and `run_sir` (one
+one pool (a block may mix immunized sets row by row). Where a block runs,
+`part` reduces each scenario's slice of it to the items the caller needs
+(by default the outcomes), and the caller folds each scenario's items as
+its blocks arrive. `run_replicates` (one scenario) and `run_sir` (one
 replicate) are calls of it. Blocks run on up to `workers` forked processes
 (`parallel_map`) in plan order, so outcomes do not depend on the worker
 count either. Outcomes are int32 arrays in infection order.
@@ -26,7 +27,7 @@ count either. Outcomes are int32 arrays in infection order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -227,26 +228,30 @@ def run_replicates(
     index_case: int | None = None,
     immunized=frozenset(),
     workers: int = 1,
-) -> list[SimOutcome]:
-    """Run `reps` simulations, the one-scenario call of `run_scenarios`.
+    part=list,
+    fold=list,
+):
+    """Run `reps` simulations, the one-scenario call of `run_scenarios`; by default, the list of outcomes.
 
     Outcome r is bitwise the lone `run_sir` with seed base_seed XOR r.
     index_case=None draws a random non-immunized index per replicate from a
     dedicated substream.
     """
-    return run_scenarios(g, p, [(base_seed, index_case, immunized)], reps, workers)[0]
+    return run_scenarios(g, p, [(base_seed, index_case, immunized)], reps, workers, part, fold)[0]
 
 
-def run_scenarios(g: Graph, p: SirParams, scenarios, reps: int, workers: int = 1, fold=list) -> list:
+def run_scenarios(g: Graph, p: SirParams, scenarios, reps: int, workers: int = 1, part=list, fold=list) -> list:
     """Run `reps` replicates of each (base_seed, index_case | None, immunized) scenario; return their folds.
 
     Replicate r of a scenario has seed base_seed XOR r and the pinned index
     case, or one drawn from that seed's substream among the non-immunized
     nodes. All scenarios are checked first. The plan runs in lockstep blocks
     of max(1, _REPLICATE_BUDGET // n) on up to `workers` forked processes,
-    capped at the usable cores. Returns one fold per scenario, in plan order:
-    fold must consume its iterator over the scenario's `reps` outcomes, which
-    are simulated as it reads. Outcomes do not depend on block size or workers.
+    capped at the usable cores. Where a block runs, part maps each scenario's
+    slice of it (a list of outcomes) to a list of items; only the items come
+    back. Returns one fold per scenario, in plan order, of an iterator over
+    its items in order, taken as its blocks arrive. Outcomes do not depend
+    on block size or workers.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -271,10 +276,14 @@ def run_scenarios(g: Graph, p: SirParams, scenarios, reps: int, workers: int = 1
         seeds += plan
         sets += [immunized] * reps
     size = max(1, _REPLICATE_BUDGET // g.n)
-    starts = range(0, len(seeds), size)
-    blocks = [(cases[lo : lo + size], seeds[lo : lo + size], sets[lo : lo + size]) for lo in starts]
-    outcomes = chain.from_iterable(parallel_map(lambda block: _run_block(g, p, *block), blocks, workers))
-    return [fold(islice(outcomes, reps)) for _ in range(len(seeds) // reps)]
+
+    def run(lo):  # (scenario, part) per scenario slice of the block at lo
+        outcomes = _run_block(g, p, cases[lo : lo + size], seeds[lo : lo + size], sets[lo : lo + size])
+        cuts = [lo, *range((lo // reps + 1) * reps, lo + len(outcomes), reps), lo + len(outcomes)]
+        return [(a // reps, part(outcomes[a - lo : b - lo])) for a, b in zip(cuts, cuts[1:])]
+
+    pieces = chain.from_iterable(parallel_map(run, range(0, len(seeds), size), workers))
+    return [fold(chain.from_iterable(items for _, items in group)) for _, group in groupby(pieces, lambda x: x[0])]
 
 
 def _random_index(n: int, immunized: frozenset, seed: int) -> int:

@@ -4,7 +4,8 @@ Everything here works on plain dict-of-sets adjacency built straight from
 edge pairs, deliberately bypassing the package's data structures and
 algorithms: cluster degrees are found by counting boundary edges of the
 explicit three-node set, entropies come from the literal distribution
-formula, and betweenness from all-pairs path counting.
+formula, betweenness from all-pairs path counting, and spreading power by
+walking each infection forest level by level.
 """
 from __future__ import annotations
 
@@ -134,3 +135,28 @@ def brute_force_betweenness(adj: dict[int, set[int]]) -> dict[int, float]:
                 if dist_s[v] + dist_t[v] == st:
                     bc[v] += sigma_s[v] * sigma_t[v] / total
     return bc
+
+
+def spreading_power(outcomes, n: int, threshold: float, max_depth: int = 4) -> tuple[int, list[list[float]]]:
+    """Global-outbreak count and mean forest descendants within depth 1..max_depth per node, over a full outcome list.
+
+    A run is a global outbreak when its infected count over n reaches the
+    threshold. Descendants are counted by walking each global run's forest
+    from every node, level by level, in exact integers; each total is then
+    divided by the global-run count (by 1 when there is none).
+    """
+    global_runs = [o for o in outcomes if len(o.nodes) / n >= threshold]
+    totals = [[0] * n for _ in range(max_depth)]
+    for o in global_runs:
+        children: dict[int, list[int]] = {}
+        for v, par in zip(o.nodes.tolist(), o.parents.tolist()):
+            if par >= 0:
+                children.setdefault(par, []).append(v)
+        for v in children:
+            level, below = [v], 0
+            for d in range(max_depth):
+                level = [c for u in level for c in children.get(u, [])]
+                below += len(level)
+                totals[d][v] += below
+    runs = max(len(global_runs), 1)
+    return len(global_runs), [[t / runs for t in row] for row in totals]

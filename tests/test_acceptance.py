@@ -11,7 +11,7 @@ import networkx as nx
 import pytest
 from scipy import stats
 
-from efgraph.analysis import correlation_report, ef_bins, immunization_experiment, seeding_experiment
+from efgraph.analysis import correlation_report, ef_bins, immunization_experiment, seeding_experiment, spreading_sums
 from efgraph.centrality import betweenness, degree_centrality, pagerank
 from efgraph.epidemic import SirParams, calibrate, run_replicates, run_sir
 from efgraph.expected_force import ef_cluster_centric, ef_vertex_centric
@@ -175,7 +175,7 @@ def test_c08_centrality_vs_spreading_power():
     p = calibrate(g)
     efres = ef_cluster_centric(g)
     runs = run_replicates(g, p, 500, base_seed=777)
-    report = correlation_report(g, efres, [degree_centrality(g)], runs, min_global=100)
+    report = correlation_report(g, efres, [degree_centrality(g)], spreading_sums(runs, g.n), min_global=100)
     assert report.metadata["global_outbreaks"] >= 100
     assert report.rows[0]["metric"] != "warning"
     r = {row["metric"]: row["pearson_r"] for row in report.rows if row["order"] == 2}

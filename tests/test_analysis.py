@@ -8,19 +8,22 @@ from efgraph.analysis import (
     correlation_report,
     ef_bins,
     immunization_experiment,
+    merge_sums,
     pearson,
     seeding_experiment,
+    spreading_sums,
     timing_report,
     write_report_csv,
     write_report_ndjson,
 )
 from efgraph import epidemic
 from efgraph.centrality import CentralityScores, degree_centrality
-from efgraph.epidemic import SirParams, calibrate, run_replicates
+from efgraph.epidemic import GLOBAL_THRESHOLD, SirParams, calibrate, run_replicates
 from efgraph.expected_force import EFResult, ef_cluster_centric
 from efgraph.graph import build_graph
 
 from conftest import er_edges, star_edges
+import oracles
 
 
 def _ef_result(values):
@@ -98,28 +101,77 @@ class TestCorrelationReport:
         global_runs = [o for o in runs if is_global_outbreak(o)]
         sums, _ = descendant_sums(global_runs, g.n)
         self_metric = CentralityScores(metric="self", values=sums[1] / len(global_runs))
-        report = correlation_report(g, efres, [self_metric], runs, min_global=1)
+        report = correlation_report(g, efres, [self_metric], spreading_sums(runs, g.n), min_global=1)
         row = next(r for r in report.rows if r["metric"] == "self" and r["order"] == 2)
         assert row["pearson_r"] == pytest.approx(1.0, abs=1e-12)
 
     def test_degree_row_present_and_finite(self):
         g, efres, runs = self._setup()
-        report = correlation_report(g, efres, [degree_centrality(g)], runs, min_global=1)
+        report = correlation_report(g, efres, [degree_centrality(g)], spreading_sums(runs, g.n), min_global=1)
         rows = [r for r in report.rows if r["metric"] == "degree"]
         assert {r["order"] for r in rows} == {1, 2, 3, 4}
         assert all(np.isfinite(r["pearson_r"]) for r in rows)
 
     def test_warning_row_when_short(self):
         g, efres, runs = self._setup(reps=5)
-        report = correlation_report(g, efres, [], runs, min_global=10**6)
+        report = correlation_report(g, efres, [], spreading_sums(runs, g.n), min_global=10**6)
         assert report.rows[0]["metric"] == "warning"
         assert "global outbreaks" in report.rows[0]["note"]
 
     def test_metadata_counts(self):
         g, efres, runs = self._setup()
-        report = correlation_report(g, efres, [], runs, min_global=1)
+        report = correlation_report(g, efres, [], spreading_sums(runs, g.n), min_global=1)
         assert report.metadata["simulations"] == len(runs)
         assert 0 <= report.metadata["global_outbreaks"] <= len(runs)
+
+
+class TestCorrelationOracle:
+    """The per-block reduction gives the spreading power of the full outcome list, bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "beta, min_global",
+        [(None, 1), (None, 10**6), (0.0, 1)],
+        ids=["outbreaks", "warning-row", "no-global-run"],
+    )
+    def test_reduced_path_equals_oracle(self, monkeypatch, workers, beta, min_global):
+        g = build_graph(er_edges(120, 0.06, 5))
+        p = calibrate(g)
+        if beta is not None:
+            p = SirParams(beta, p.mu, p.max_steps)
+        efres = ef_cluster_centric(g)
+        others = [degree_centrality(g)]
+        runs = run_replicates(g, p, 60, base_seed=42)  # one block
+        global_runs, power = oracles.spreading_power(runs, g.n, GLOBAL_THRESHOLD)
+        assert (global_runs > 0) == (beta is None)
+
+        monkeypatch.setattr(epidemic, "_REPLICATE_BUDGET", 7 * g.n)  # 60 replicates: 9 blocks, the last short
+        sums = run_replicates(g, p, 60, 42, workers=workers,
+                              part=lambda block: [spreading_sums(block, g.n)], fold=merge_sums)
+        assert (sums.global_runs, sums.simulations) == (global_runs, 60)
+        assert np.array_equal(sums.descendants / max(global_runs, 1), np.array(power))
+
+        report = correlation_report(g, efres, others, sums, min_global=min_global)
+        expected = []
+        if global_runs < min_global:
+            expected.append({"metric": "warning", "order": None, "pearson_r": None,
+                             "note": f"only {global_runs} global outbreaks (< {min_global})"})
+        for name, vals in [("exp_ef", np.exp(efres.ef)), ("degree", others[0].values)]:
+            for d in (1, 2, 3, 4):
+                try:
+                    expected.append({"metric": name, "order": d, "pearson_r": pearson(vals, power[d - 1]), "note": ""})
+                except ValueError as exc:
+                    expected.append({"metric": name, "order": d, "pearson_r": None, "note": str(exc)})
+        assert report.rows == expected
+        assert report.metadata["global_outbreaks"] == global_runs and report.metadata["simulations"] == 60
+
+    def test_merge_is_independent_of_the_split(self):
+        g = build_graph(er_edges(120, 0.06, 5))
+        runs = run_replicates(g, calibrate(g), 40, base_seed=7)
+        whole = spreading_sums(runs, g.n)
+        parts = merge_sums(spreading_sums(runs[lo : lo + 6], g.n) for lo in range(0, 40, 6))
+        assert np.array_equal(whole.descendants, parts.descendants)
+        assert (whole.global_runs, whole.simulations) == (parts.global_runs, parts.simulations)
 
 
 class TestSeeding:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -62,6 +63,15 @@ class TestGenerate:
         manifest = json.loads((tmp_path / "g.txt.manifest.json").read_text())
         assert manifest["status"] == "error"
         assert "scale" in manifest["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("degree", [0, -3])
+    def test_avg_degree_below_one_is_usage_error(self, tmp_path, degree):
+        out = tmp_path / "g.txt"
+        assert _run("generate", "--scale", 6, "--avg-degree", degree, "--output", out) == 2
+        manifest = json.loads((tmp_path / "g.txt.manifest.json").read_text())
+        assert manifest["error_type"] == "usage"
+        assert "--avg-degree" in manifest["error"]
         assert not out.exists()
 
     def test_target_beyond_memory_rejected(self, tmp_path):
@@ -546,6 +556,22 @@ class TestAnalyze:
         # experiment encloses both sub-phases and the report
         assert timings["centrality"] > 0 and timings["simulate"] > 0
         assert timings["centrality"] + timings["simulate"] <= timings["experiment"]
+
+    def test_correlation_parent_holds_sums_not_outcomes(self, tmp_path, monkeypatch):
+        inp = tmp_path / "g.txt"
+        assert _run("generate", "--scale", 8, "--avg-degree", 8, "--seed", 1, "--output", inp) == 0
+        nodes = json.loads((tmp_path / "g.txt.manifest.json").read_text())["graph"]["nodes"]
+        monkeypatch.setattr(epidemic, "_REPLICATE_BUDGET", 100 * nodes)  # 2000 replicates: 20 blocks
+        tracemalloc.start()
+        try:
+            assert _run("analyze", "--input", inp, "--kind", "correlation", "--reps", 2000, "--r0", 3,
+                        "--min-global", 1, "--workers", 1, "--output", tmp_path / "corr") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Measured traced peaks here: 7.2 MB when every outcome was kept for
+        # the report, 3.0 MB with one SpreadingSums part per block.
+        assert peak < 5e6
 
     def test_immunization_and_timing(self, tmp_path):
         inp = tmp_path / "g.txt"

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from efgraph.epidemic import (
     time_to_peak,
 )
 from efgraph.graph import build_graph
+from efgraph.parallel import usable_cores
 
 from conftest import complete_edges, cycle_edges, er_edges, path_edges, star_edges
 from oracles import adjacency, bfs_distances
@@ -309,6 +311,29 @@ class TestScenarios:
                 for name in ("nodes", "parents", "infected_at", "recovered_at", "series"):
                     assert np.array_equal(getattr(a, name), getattr(b, name)), name
                 assert a.index_case == b.index_case
+
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
+        usable_cores() < 2, reason="needs two usable cores"))])
+    def test_parts_are_taken_where_their_block_runs(self, monkeypatch, workers):
+        g = build_graph(er_edges(60, 0.1, 6))
+        params = SirParams(beta=0.3, mu=0.4, max_steps=1000)
+        scenarios = [(21, 4, ()), (22, None, ()), (23, None, frozenset(range(10)))]
+        expected = [run_replicates(g, params, 5, seed, index_case=index, immunized=immune)
+                    for seed, index, immune in scenarios]
+        monkeypatch.setattr(epidemic, "_REPLICATE_BUDGET", 3 * g.n)  # 3 scenarios x 5 reps: 5 blocks of 3
+
+        def part(runs):
+            return [(os.getpid(), len(runs), [(o.index_case, o.ever_infected, o.steps) for o in runs])]
+
+        folds = run_scenarios(g, params, scenarios, 5, workers=workers, part=part)
+        # blocks 1 and 3 span two scenarios, so each of them gives two parts
+        assert [[size for _, size, _ in parts] for parts in folds] == [[3, 2], [1, 3, 1], [2, 3]]
+        pids = {pid for parts in folds for pid, _, _ in parts}
+        assert (os.getpid() in pids) == (workers == 1) and len(pids) <= workers
+        for parts, alone in zip(folds, expected):  # merged in plan order, as one block of the scenario gives them
+            assert [run for _, _, runs in parts for run in runs] == [(o.index_case, o.ever_infected, o.steps)
+                                                                      for o in alone]
 
 
 class TestSpreadingPower:
