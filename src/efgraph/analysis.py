@@ -126,7 +126,9 @@ def ef_bins(ef_result: EFResult, k: int = 10) -> list[EFBin]:
 class SpreadingSums:
     """Per-node forest descendants within depth 1..max_depth, (max_depth, n), over the global outbreaks of some runs.
 
-    The sums are integers in float64, exact below 2^53, so any split of the runs adds up to the same bytes.
+    The sums are integers, so any split of the runs adds up to the same totals. A part from
+    `spreading_sums` is int32 while its runs times n stays below 2^31 (a replicate block's does, as a
+    block holds at most max(1, 2^18 // n) runs); `merge_sums` adds in int64.
     """
 
     descendants: np.ndarray
@@ -138,12 +140,14 @@ class SpreadingSums:
 def spreading_sums(runs, n: int, threshold: float = GLOBAL_THRESHOLD) -> SpreadingSums:
     """The correlation experiment's reduction of a list of runs (depths 1..4), taken where their block runs."""
     global_runs = [o for o in runs if is_global_outbreak(o, threshold)]
-    return SpreadingSums(descendant_sums(global_runs, n)[0], len(global_runs), len(runs), threshold)
+    dtype = np.int32 if len(global_runs) * n < 2**31 else np.int64  # a run adds below n to each sum
+    return SpreadingSums(descendant_sums(global_runs, n)[0].astype(dtype), len(global_runs), len(runs), threshold)
 
 
 def merge_sums(parts) -> SpreadingSums:
-    """Add SpreadingSums parts in order."""
-    return reduce(lambda a, b: SpreadingSums(a.descendants + b.descendants, a.global_runs + b.global_runs,
+    """Add SpreadingSums parts in order, in int64."""
+    return reduce(lambda a, b: SpreadingSums(np.add(a.descendants, b.descendants, dtype=np.int64),
+                                             a.global_runs + b.global_runs,
                                              a.simulations + b.simulations, a.threshold), parts)
 
 

@@ -37,7 +37,10 @@ _MAX_NODES = 2**31  # neighbor ids are stored as int32
 _MAX_SCALE = 31  # 2^scale node ids must fit int32
 _MAX_ORIG_ID = 2**63 - 1  # original ids are stored as int64
 _WRITE_ROWS = 1 << 16  # edges formatted per write, bounding the text held at once
-_RMAT_BYTES_PER_EDGE = 256  # peak RSS per retained edge while sampling and building (~260 at s16-s17 d16)
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10^18: a k-digit id passes k - 1 of them
+_RMAT_ROWS = 1 << 16  # R-MAT draws per block of uniforms (7 MB at scale 14); a smaller block leaves glibc's
+# mmap threshold lower, which slows a later EF call in the same process (the c05 acceptance gate)
+_RMAT_BYTES_PER_EDGE = 256  # a `generate` process peaks at ~236 B per target edge at s16 d16, ~140 at s20
 
 
 @dataclass
@@ -252,6 +255,16 @@ def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:
     20x the target; hitting it returns whatever was accumulated with
     truncated=True. Output is a pure function of params. A target whose
     memory estimate exceeds physical memory is refused before sampling.
+
+    Sampling runs in batches. A batch keeps, in draw order, the first of
+    its codes lo * 2^N + hi that are new, as many as the target still
+    needs. Its codes are argsorted with numpy's default sort, which is not
+    stable and takes a SIMD path where the CPU has one; each run of equal
+    codes yields the code once, with its first draw index as the minimum
+    of the run's indices. A minimum does not depend on the order of the
+    run's ties, so the output is the same whichever path sorted them. The
+    new codes are found by binary search in the sorted codes kept so far
+    and merged into them.
     """
     a, b, c, _ = params.quadrant_probs
     side = 1 << params.scale
@@ -265,7 +278,7 @@ def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:
         )
     cap = 20 * target
     rng = np.random.default_rng(params.seed)
-    weights = (np.int64(1) << np.arange(params.scale - 1, -1, -1)).astype(np.int64)
+    cuts = (a, a + b, a + b + c)
 
     seen = np.zeros(0, dtype=np.int64)  # sorted distinct codes kept so far
     attempts = 0
@@ -273,21 +286,49 @@ def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:
         need = target - seen.size
         batch = int(min(cap - attempts, max(1024, min(262144, 2 * need))))
         attempts += batch
-        r = rng.random((batch, params.scale))
-        u_bit = r >= a + b
-        v_bit = ((r >= a) & (r < a + b)) | (r >= a + b + c)
-        u = u_bit @ weights
-        v = v_bit @ weights
-        mask = u != v
-        lo = np.minimum(u[mask], v[mask])
-        hi = np.maximum(u[mask], v[mask])
-        codes = lo * np.int64(side) + hi
-        # the first `need` codes, in draw order, that are new to this batch and to `seen`
-        uniq, first = np.unique(codes, return_index=True)
-        first = np.sort(first[~np.isin(uniq, seen, assume_unique=True)])
-        seen = np.sort(np.concatenate([seen, codes[first[:need]]]))
+        codes = _rmat_codes(rng, batch, params.scale, cuts)
+        # each distinct code once, with its first draw index: the minimum over its run of ties
+        order = np.argsort(codes)
+        ranked = codes[order]
+        head = np.ones(ranked.size, dtype=bool)
+        head[1:] = ranked[1:] != ranked[:-1]
+        starts = np.flatnonzero(head)
+        uniq = ranked[starts]
+        first = np.minimum.reduceat(order, starts)
+        # keep the first `need` codes, in draw order, that are new to `seen`
+        at = np.searchsorted(seen, uniq)
+        fresh = at == seen.size
+        fresh[~fresh] = seen[at[~fresh]] != uniq[~fresh]
+        if np.count_nonzero(fresh) > need:
+            fresh &= first < np.partition(first[fresh], need)[need]
+        seen = np.insert(seen, at[fresh], uniq[fresh])  # a linear merge: both are sorted
 
     return build_graph(np.stack([seen // side, seen % side], axis=1)), seen.size < target
+
+
+def _rmat_codes(rng: np.random.Generator, draws: int, scale: int, cuts: tuple[float, float, float]) -> np.ndarray:
+    """Codes lo * 2^scale + hi of the next `draws` R-MAT draws, in draw order, self-loops dropped.
+
+    A draw is one uniform per level, taken in row blocks of one reused buffer (the same stream as
+    one rng.random((draws, scale))). Level j falls in quadrant k = #{cuts <= uniform}: its source
+    bit is k >= 2, its target bit k odd, the parity of the three cut tests. A bit matrix with the
+    levels right-aligned in 32 columns packs into one big-endian uint32 per draw.
+    """
+    rows = min(draws, _RMAT_ROWS)
+    r = np.empty((rows, scale))
+    bits = np.zeros((rows, 32), dtype=bool)  # the 32 - scale pad columns stay 0
+    codes = []
+    for s in range(0, draws, rows):
+        k = min(rows, draws - s)
+        rng.random(out=r[:k])
+        packed = []
+        for cut in cuts:
+            np.greater_equal(r[:k], cut, out=bits[:k, 32 - scale :])
+            packed.append(np.packbits(bits[:k]).view(">u4"))
+        u = packed[1].astype(np.int64)
+        v = (packed[0] ^ packed[1] ^ packed[2]).astype(np.int64)
+        codes.append((np.minimum(u, v) << scale | np.maximum(u, v))[u != v])
+    return np.concatenate(codes)
 
 
 def cluster_count(g: Graph) -> int:
@@ -311,5 +352,20 @@ def write_edge_list(g: Graph, stream) -> None:
     us = g.orig_ids[src[up]]
     vs = g.orig_ids[g.neighbors[up]]
     for s in range(0, us.size, _WRITE_ROWS):
-        rows = zip(us[s : s + _WRITE_ROWS].tolist(), vs[s : s + _WRITE_ROWS].tolist())
-        stream.write("".join([f"{u} {v}\n" for u, v in rows]))
+        stream.write(_ascii_lines(us[s : s + _WRITE_ROWS], vs[s : s + _WRITE_ROWS]))
+
+
+def _ascii_lines(us: np.ndarray, vs: np.ndarray) -> str:
+    """The text of f"{u} {v}\\n" over the rows, written one decimal place at a time for whole columns."""
+    wu, wv = (np.searchsorted(_POWERS_OF_TEN, x, side="right") + 1 for x in (us, vs))  # digit counts
+    ends = np.cumsum(wu + wv + 2)
+    buf = np.empty(int(ends[-1]), dtype=np.uint8)
+    buf[ends - 1] = ord("\n")
+    buf[ends - wv - 2] = ord(" ")
+    for x, last in ((us, ends - wv - 3), (vs, ends - 2)):
+        while x.size:  # the lowest digit of every number left, then drop the numbers it exhausted
+            q = x // 10
+            buf[last] = (x - q * 10).astype(np.uint8) + ord("0")
+            more = q > 0
+            x, last = q[more], last[more] - 1
+    return buf.tobytes().decode("ascii")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from efgraph.analysis import (
+    SpreadingSums,
     correlation_report,
     ef_bins,
     immunization_experiment,
@@ -172,6 +173,14 @@ class TestCorrelationOracle:
         parts = merge_sums(spreading_sums(runs[lo : lo + 6], g.n) for lo in range(0, 40, 6))
         assert np.array_equal(whole.descendants, parts.descendants)
         assert (whole.global_runs, whole.simulations) == (parts.global_runs, parts.simulations)
+
+    def test_parts_are_int32_and_totals_int64(self):
+        g = build_graph(er_edges(120, 0.06, 5))
+        part = spreading_sums(run_replicates(g, calibrate(g), 6, base_seed=7), g.n)
+        assert part.global_runs > 0 and part.descendants.dtype == np.int32
+        top = np.full((4, 3), 2**31 - 1, dtype=np.int32)  # two parts at the int32 maximum
+        total = merge_sums([SpreadingSums(top, 1, 1, GLOBAL_THRESHOLD)] * 2)
+        assert total.descendants.dtype == np.int64 and (total.descendants == 2**32 - 2).all()
 
 
 class TestSeeding:

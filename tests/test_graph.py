@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import re
@@ -295,6 +296,27 @@ class TestRmat:
             with pytest.raises(ValueError, match="scale"):
                 RmatParams(scale=scale, avg_degree=1)
 
+    # sha256 of write_edge_list(generate_rmat(params)); the first two are perfbench/golden.json's
+    # edge_list_sha256 for ef-dense generate seed 116 and correlation-s12 generate seed 1
+    @pytest.mark.parametrize("params,truncated,digest", [
+        (RmatParams(scale=14, avg_degree=16, seed=116), False,
+         "032658fa5ae5cfd0f82f5ed17affb70d05dda656c60daa8ca39869c10b6d238f"),
+        (RmatParams(scale=12, avg_degree=8, seed=1), False,
+         "e0ef9bb66a039ad8ad3e8b8baf4cd0431849405611ebd8f3469b50d18cf050ea"),
+        # skewed: 14 batches, each after the first drawn because the one before left edges to find
+        (RmatParams(scale=8, avg_degree=8, seed=2, quadrant_probs=(0.85, 0.05, 0.05, 0.05)), False,
+         "19659f52d4510c7190b4db6e46378c6d930fb093accf32ee4b84d0f38d010bf4"),
+        # 3 batches, then the 20x attempt cap: 56 of the 128 target edges
+        (RmatParams(scale=5, avg_degree=8, seed=3, quadrant_probs=(0.9, 0.04, 0.04, 0.02)), True,
+         "39969a172b420b8324c84bcb599757e0155bca8094614f28bdf2ed6ca8b7bddb"),
+    ], ids=["s14-d16-seed116", "s12-d8-seed1", "skewed-multi-batch", "truncated"])
+    def test_edge_list_bytes_pinned(self, params, truncated, digest):
+        g, got_truncated = generate_rmat(params)
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        assert got_truncated == truncated
+        assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == digest
+
     def test_target_beyond_memory_refused_before_sampling(self):
         started = time.perf_counter()
         with pytest.raises(ValueError, match=r"8589934592 edges needs about 2048.0 GiB .* physical memory"):
@@ -315,3 +337,26 @@ class TestExport:
         g2 = build_graph(load_edge_list(io.StringIO(buf.getvalue())))
         assert np.array_equal(g.orig_ids, g2.orig_ids)
         assert np.array_equal(g.neighbors, g2.neighbors)
+
+    @pytest.mark.parametrize("rows_per_write", [3, graph_module._WRITE_ROWS])
+    def test_bytes_match_fstring_lines_for_every_id_width(self, monkeypatch, rows_per_write):
+        ids = {0, 9, 10, 2**63 - 1}
+        rng = np.random.default_rng(8)
+        for width in range(1, 20):
+            low, high = 10 ** (width - 1) if width > 1 else 0, min(10**width - 1, 2**63 - 1)
+            ids.update([low, high, int(rng.integers(low, high, endpoint=True))])
+        ids = rng.permutation(np.array(sorted(ids), dtype=np.int64))
+        edges = [(i, i + 1) for i in range(ids.size - 1)] + er_edges(ids.size, 0.2, 9)
+        g = build_graph(ids[np.array(edges)])
+        assert g.n == ids.size
+        monkeypatch.setattr(graph_module, "_WRITE_ROWS", rows_per_write)
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        want = "".join(f"{int(g.orig_ids[s])} {int(g.orig_ids[t])}\n"
+                       for s in range(g.n) for t in g.adjacency(s) if t > s)
+        assert buf.getvalue() == want
+
+    def test_empty_graph_writes_nothing(self):
+        buf = io.StringIO()
+        write_edge_list(build_graph([]), buf)
+        assert buf.getvalue() == ""
