@@ -15,13 +15,11 @@ Two interchangeable algorithms are provided:
   equal-degree wings credited in one batch) and a correction for each
   triangle it belongs to, listed once by the degree-ordered forward
   algorithm with a linear-probing hash table as the edge test. A triangle
-  is kept as its members' int32 partner degree sums: the lowest-ranked
-  member's straight from the listing, the other two sorted and counted per
-  member, with no global key array. The set-up is 32-bit: node ids are
-  int32, products are formed in int64, and the other two members' keys are
-  int32 local keys in member-range buckets, each sorted and counted on its
-  own. Every cluster is still credited exactly once to each of its three
-  members.
+  is kept as its members' int32 partner degree sums, one list per member,
+  sorted per bucket, with no global key array. The set-up is 32-bit: node
+  ids are int32, products are formed in int64, and the members' keys are
+  int32 local keys in member-range buckets, each sorted on its own. Every
+  cluster is still credited exactly once to each of its three members.
   Nodes are processed in owner chunks whose dense histogram bins are
   bounded by a fixed budget; each chunk reads its nonzero bins straight
   into the entropy pass as (node, degree, count) rows and drops them.
@@ -167,7 +165,7 @@ class _DegreeClassKernel:
     * triangle: each triangle {x, b, c} moves its 4 credits of x (2 as the
       middle, 1 per wing) from t = d_b + d_c to t = d_b + d_c - 2.
 
-    Triangles are held per member as int32 t in two parts (see
+    Triangles are held as one int32 list of t per member (see
     _triangle_partner_sums). Node ids (owner, nbr: the graph's own int32
     neighbor array) stay int32; class keys and edge codes are formed in
     int64. Bins sum integer-valued float64 credits, exact below 2^53, so
@@ -187,9 +185,7 @@ class _DegreeClassKernel:
         cdeg = keys - cnode * span
         nclass = np.diff(coff)
 
-        self.low_t, self.low_off, self.high_t, self.high_count, self.high_off = _triangle_partner_sums(
-            g, deg, owner, nbr, 2 * span - 1
-        )
+        self.tri_t, self.tri_off = _triangle_partner_sums(g, deg, owner, nbr, 2 * span - 1)
 
         # dense bin range per owner: every credit's t lies in [t_lo, t_hi]
         cmin = cdeg[coff[:-1]]
@@ -209,7 +205,7 @@ class _DegreeClassKernel:
         self.width = t_hi - t_lo + 1
         self.log_table = _log_table(deg)
         wing = np.add.reduceat(self.slot_cost, starts)
-        self.cost = nclass * (nclass + 1) // 2 + wing + 2 * np.diff(self.low_off + self.high_off) + self.width
+        self.cost = nclass * (nclass + 1) // 2 + wing + 2 * np.diff(self.tri_off) + self.width
 
     def scores(self, s: int, e: int):
         """(ef, cluster_total, flags) of owners s..e-1."""
@@ -237,11 +233,9 @@ class _DegreeClassKernel:
         mid_w = np.repeat(2 * ccnt[p], pairs) * ccnt[q]
         mid_w[diag] = ccnt[p] * (ccnt[p] - 1)
 
-        low = np.repeat(base, np.diff(self.low_off[s : e + 1])) + self.low_t[self.low_off[s] : self.low_off[e]]
-        high = np.repeat(base, np.diff(self.high_off[s : e + 1])) + self.high_t[self.high_off[s] : self.high_off[e]]
-        tri_idx = np.concatenate([low, high, low - 2, high - 2])
-        high_w = 4.0 * self.high_count[self.high_off[s] : self.high_off[e]]
-        tri_w = np.concatenate([np.full(low.size, -4.0), -high_w, np.full(low.size, 4.0), high_w])
+        tri = np.repeat(base, np.diff(self.tri_off[s : e + 1])) + self.tri_t[self.tri_off[s] : self.tri_off[e]]
+        tri_idx = np.concatenate([tri, tri - 2])
+        tri_w = np.repeat([-4.0, 4.0], tri.size)
 
         # every owner has a slot (graphs hold no isolated nodes), so the
         # middle and triangle credits ride along with the first wing batch
@@ -260,27 +254,24 @@ class _DegreeClassKernel:
 
 
 def _triangle_partner_sums(g: Graph, deg, owner, nbr, span: int):
-    """(low_t, low_off, high_t, high_count, high_off): triangle members' int32 partner sums t, CSR by member.
+    """(tri_t, tri_off): triangle members' int32 partner sums t, one list per member, sorted per bucket.
 
-    low_t[low_off[x]:low_off[x + 1]] holds one t per triangle whose lowest-
-    ranked member is x; high_t[high_off[x]:high_off[x + 1]] the distinct t,
-    ascending, of the triangles where x is one of the other two, and
-    high_count how many triangles share each. t < span.
+    tri_t[tri_off[x]:tri_off[x + 1]] holds one t per triangle that x
+    belongs to, ascending: the sum of the other two members' degrees.
+    t < span.
 
     Triangles are listed once each by the degree-ordered forward algorithm
     (Schank & Wagner 2005; Latapy 2008): orient every edge toward the
     endpoint of higher (degree, id) rank and test the wedges of each node's
-    forward neighbors, of which there are at most O(sqrt(m)). The listing
-    runs in forward-slot order, so the lowest members arrive grouped; only
-    the other two members' keys are sorted and run-length counted.
+    forward neighbors, of which there are at most O(sqrt(m)).
 
-    Node ids stay int32 (products are formed in int64). The other two
-    members' keys are int32 local keys (x % w) * span + t in buckets of
+    Node ids stay int32 (products are formed in int64). All three members
+    write int32 local keys (x % w) * span + t into buckets of
     w = _KEY_LIMIT // span consecutive members, so they fit at any n. Each
-    bucket fills its own region of the 2 * wedges bound, sized by its
-    members' share of the wedges, and is sorted and counted on its own; the
-    buckets join in member order (the partitioned listing of Chu & Cheng,
-    KDD 2011). Graphs with n * span <= _KEY_LIMIT have one bucket.
+    bucket fills its own region of the 3 * wedges bound, sized by its
+    members' share of the wedges, is sorted on its own and moves down behind
+    the buckets before it (the partitioned listing of Chu & Cheng, KDD
+    2011). Graphs with n * span <= _KEY_LIMIT have one bucket.
     """
     n = g.n
     rank = np.empty(n, dtype=np.int32)
@@ -294,20 +285,18 @@ def _triangle_partner_sums(g: Graph, deg, owner, nbr, span: int):
     und = owner < nbr
     table = _edge_table(owner[und] * np.int64(n) + nbr[und])
 
-    # a wedge closes at most one triangle, and the node of forward slot j is
-    # a higher member in at most fdeg(fu[j]) - 1 of them; np.empty pages are
-    # committed only as written, so this bound costs address space, not memory
-    wedges = int(later.sum())
-    low_t = np.empty(wedges, dtype=np.int32)
-    low_off = np.zeros(n + 1, dtype=np.int64)
+    # a wedge closes at most one triangle: the owner of forward slot j is the
+    # lowest member of at most later[j] of them and its node a higher member
+    # of at most fdeg(fu[j]) - 1; np.empty pages are committed only as
+    # written, so this 3 * wedges bound costs address space, not memory
     w = _KEY_LIMIT // span  # members per bucket
     nbuckets = (n - 1) // w + 1
+    share = np.bincount(fv // w, weights=np.diff(foff)[fu] - 1, minlength=nbuckets)
+    share += np.bincount(fu // w, weights=later, minlength=nbuckets)  # exact below 2^53
     region = np.zeros(nbuckets + 1, dtype=np.int64)
-    share = np.bincount(fv // w, weights=np.diff(foff)[fu] - 1, minlength=nbuckets)  # exact below 2^53
     np.cumsum(share.astype(np.int64), out=region[1:])
     fill = region[:-1].copy()
-    high = np.empty(2 * wedges, dtype=np.int32)
-    k = 0
+    tri = np.empty(int(region[-1]), dtype=np.int32)
     for b0, b1 in _budget_ranges(later, _ENTRY_BUDGET // 4):  # a batch's wedge-sized arrays share one budget
         first = np.arange(b0, b1)
         wings = later[b0:b1]
@@ -315,48 +304,31 @@ def _triangle_partner_sums(g: Graph, deg, owner, nbr, span: int):
         b = fv[grouped_arange(first + 1, wings)[0]]
         hit = _in_table(table, a * np.int64(n) + b)  # a < b: forward slots ascend
         u, a, b = np.repeat(fu[first], wings)[hit], a[hit], b[hit]
-        if not u.size:
-            continue
         du, da, db = deg[u], deg[a], deg[b]
-        low_t[k : k + u.size] = da + db
-        low_off[u[0] + 1 : u[-1] + 2] += np.bincount(u - u[0])  # u ascends
-        k += u.size
-        x = np.concatenate([a, b])
-        key = x % w * np.int64(span) + np.concatenate([du + db, du + da])
+        x = np.concatenate([u, a, b])
+        key = x % w * np.int64(span) + np.concatenate([da + db, du + db, du + da])
         count = [key.size]
         if nbuckets > 1:  # partition by bucket; a stable argsort of uint8/uint16 ids is a radix sort
             bucket = (x // w).astype(np.min_scalar_type(nbuckets - 1))
             key = key[np.argsort(bucket, kind="stable")]
             count = np.bincount(bucket, minlength=nbuckets)
         for i, part in enumerate(np.split(key, np.cumsum(count)[:-1])):
-            high[fill[i] : fill[i] + part.size] = part
+            tri[fill[i] : fill[i] + part.size] = part
         fill += count
     del table
-    low_t.resize(k, refcheck=False)
-    np.cumsum(low_off, out=low_off)
 
-    t_parts, count_parts, off_parts = [], [], []
+    off_parts = []
     held = 0
-    for i in range(nbuckets):  # run-length count each bucket in place; temporaries stay int32 where they can
-        keys = high[region[i] : fill[i]]
+    for i in range(nbuckets):
+        keys = tri[region[i] : fill[i]]
         keys.sort()
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(first)
-        del first
-        t = keys[starts]
-        count = np.empty(t.size, dtype=np.int32)
-        np.subtract(starts[1:], starts[:-1], out=count[:-1], casting="unsafe")
-        count[-1:] = keys.size - starts[-1:]
-        del starts
-        off_parts.append(held + np.searchsorted(t, np.arange(0, min(w, n - i * w) * span, span, dtype=np.int32)))
-        t %= span
-        t_parts.append(t)
-        count_parts.append(count)
-        held += t.size
-    del high, keys
-    high_off = np.concatenate(off_parts + [[held]])
-    return low_t, low_off, np.concatenate(t_parts), np.concatenate(count_parts), high_off
+        off_parts.append(held + np.searchsorted(keys, np.arange(0, min(w, n - i * w) * span, span, dtype=np.int32)))
+        keys %= span
+        tri[held : held + keys.size] = keys  # held <= region[i]: a forward copy within tri
+        held += keys.size
+    del keys
+    tri.resize(held, refcheck=False)
+    return tri, np.concatenate(off_parts + [[held]])
 
 
 def _edge_table(codes: np.ndarray) -> np.ndarray:

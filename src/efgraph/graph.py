@@ -269,11 +269,11 @@ def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:
     a, b, c, _ = params.quadrant_probs
     side = 1 << params.scale
     target = (side * params.avg_degree) // 2
-    need = target * _RMAT_BYTES_PER_EDGE
+    est_bytes = target * _RMAT_BYTES_PER_EDGE
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
+    if est_bytes > memory:
         raise ValueError(
-            f"R-MAT target of {target} edges needs about {need / 2**30:.1f} GiB ({_RMAT_BYTES_PER_EDGE} "
+            f"R-MAT target of {target} edges needs about {est_bytes / 2**30:.1f} GiB ({_RMAT_BYTES_PER_EDGE} "
             f"bytes per edge), more than the {memory / 2**30:.1f} GiB of physical memory"
         )
     cap = 20 * target

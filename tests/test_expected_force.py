@@ -216,31 +216,26 @@ def _triangle_cases():
 
 
 class TestTriangleKeys:
-    def test_matches_brute_force_triangles(self):
+    def test_matches_brute_force_triangles(self, monkeypatch):
+        key_limit = ef_module._KEY_LIMIT
         longest_chain = 0
         for g in _triangle_cases():
             deg = g.degrees()
             owner = np.repeat(np.arange(g.n, dtype=np.int64), deg)
             nbr = g.neighbors.astype(np.int64)
             span = 2 * int(deg.max()) + 1
-            low_t, low_off, high_t, high_count, high_off = ef_module._triangle_partner_sums(g, deg, owner, nbr, span)
-            assert low_t.dtype == high_t.dtype == high_count.dtype == np.int32
 
             edges = [(int(g.orig_ids[u]), int(g.orig_ids[v])) for u, v in zip(owner, nbr)]
             want = {}
             for tri in triangles(adjacency(edges)):
                 dense = np.searchsorted(g.orig_ids, tri).tolist()
                 for x in dense:
-                    key = x * span + sum(int(deg[y]) for y in dense if y != x)
+                    key = (x, sum(int(deg[y]) for y in dense if y != x))
                     want[key] = want.get(key, 0) + 1
-            got = {}
-            for x in range(g.n):
-                high = high_t[high_off[x] : high_off[x + 1]].tolist()
-                assert high == sorted(set(high))  # distinct t per member, ascending
-                counted = zip(high, high_count[high_off[x] : high_off[x + 1]].tolist())
-                for t, c in [(t, 1) for t in low_t[low_off[x] : low_off[x + 1]].tolist()] + list(counted):
-                    got[x * span + t] = got.get(x * span + t, 0) + c
-            assert got == want
+            for limit in (key_limit, span, 7 * span + 5):  # one bucket, then 1 and 7 members per bucket
+                monkeypatch.setattr(ef_module, "_KEY_LIMIT", limit)
+                sums = ef_module._triangle_partner_sums(g, deg, owner, nbr, span)
+                assert _partner_sum_counts(g.n, *sums) == want
 
             und = owner < nbr
             codes = owner[und] * g.n + nbr[und]
@@ -254,14 +249,16 @@ class TestTriangleKeys:
         assert longest_chain > 1  # linear probing past the home slot is exercised
 
 
-def _partner_sum_counts(n, low_t, low_off, high_t, high_count, high_off):
-    """{(member, t): triangles} from _triangle_partner_sums' two CSR parts."""
+def _partner_sum_counts(n, tri_t, tri_off):
+    """{(member, t): triangles} from _triangle_partner_sums' per-member lists, checking their layout."""
+    assert tri_t.dtype == np.int32
+    assert tri_off.size == n + 1 and tri_off[-1] == tri_t.size
     got = {}
     for x in range(n):
-        lows = [(t, 1) for t in low_t[low_off[x] : low_off[x + 1]].tolist()]
-        highs = zip(high_t[high_off[x] : high_off[x + 1]].tolist(), high_count[high_off[x] : high_off[x + 1]].tolist())
-        for t, c in lows + list(highs):
-            got[(x, t)] = got.get((x, t), 0) + c
+        ts = tri_t[tri_off[x] : tri_off[x + 1]].tolist()
+        assert ts == sorted(ts)  # each member's t ascend
+        for t in ts:
+            got[(x, t)] = got.get((x, t), 0) + 1
     return got
 
 
@@ -298,8 +295,7 @@ class TestBucketedKeys:
         deg = g.degrees()
         assert g.n * (int(deg.max()) + 1) > 2**31  # class keys, edge codes and member keys overflow int32 products
         kernel = ef_module._DegreeClassKernel(g)
-        sums = (kernel.low_t, kernel.low_off, kernel.high_t, kernel.high_count, kernel.high_off)
-        assert _partner_sum_counts(g.n, *sums) == _brute_partner_sum_counts(g)
+        assert _partner_sum_counts(g.n, kernel.tri_t, kernel.tri_off) == _brute_partner_sum_counts(g)
         classes = [sorted(Counter(deg[g.adjacency(x)].tolist()).items()) for x in range(g.n)]
         assert list(zip(kernel.cnode.tolist(), kernel.cdeg.tolist(), kernel.ccnt.tolist())) == [
             (x, d, float(c)) for x, cls in enumerate(classes) for d, c in cls
@@ -320,8 +316,9 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         # Beyond its graph-sized arrays the kernel holds a few budget-sized
-        # batches: measured 13 MB + 12.1 budgets = 38.5 MB here, where the
-        # sort-based kernel it replaced needed ~600 MB.
+        # batches: measured 10.9 MB + 5.8 budgets = 23.2 MB here, the set-up's
+        # own peak (the chunk loop peaks at 19.8 MB), where the sort-based
+        # kernel it replaced needed ~600 MB.
         assert peak < kernel_bytes + 24 * budget_bytes
 
     def test_triangle_listing_holds_no_global_key_array(self):
@@ -335,7 +332,8 @@ class TestMemoryBound:
         # Measured set-up peaks here: 47.7 MB when every triangle's three
         # member keys were held as int64 and sorted together, 30.7 MB with
         # int32 sums for the lowest member and int64 keys only for the other
-        # two. The bound sits 7 MB above the second and 9 MB below the first.
+        # two, 23.2 MB with one int32 list per member. The bound sits 9 MB
+        # below the first.
         assert peak < 38e6
 
     def test_setup_keeps_ids_and_keys_in_32_bits(self):
@@ -346,8 +344,9 @@ class TestMemoryBound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Measured set-up peaks here (traced, so the full 2 * wedges bound of
-        # higher-member keys counts): 29.3 MiB with int64 node ids and int64
-        # keys, 21.4 MiB with int32 ids and bucketed int32 keys. The bound sits
-        # 3.6 MiB above the second and 4.3 MiB below the first.
+        # Measured set-up peaks here (traced, so the full 3 * wedges bound of
+        # member keys counts): 29.3 MiB with int64 node ids and int64 keys,
+        # 21.4 MiB with int32 ids and bucketed int32 keys, 22.1 MiB with one
+        # bucketed int32 list per member. The bound sits 2.9 MiB above the
+        # last and 4.3 MiB below the first.
         assert peak < 25 * 2**20
