@@ -157,7 +157,6 @@ def correlation_report(
     others,
     sums: SpreadingSums,
     min_global: int = 100,
-    orders=(1, 2, 3, 4),
 ) -> ExperimentReport:
     """Pearson r between each metric and spreading power of order 1..4: sums' descendants per global outbreak.
 
@@ -174,9 +173,9 @@ def correlation_report(
         metrics[cs.metric] = np.asarray(cs.values, dtype=np.float64)
     power = sums.descendants / max(sums.global_runs, 1)  # mean depth-d descendants per node
     for name, vals in metrics.items():
-        for d in orders:
+        for d, level in enumerate(power, 1):
             try:
-                r = pearson(vals, power[d - 1])
+                r = pearson(vals, level)
                 note = ""
             except ValueError as exc:
                 r = None

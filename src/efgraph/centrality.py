@@ -95,8 +95,6 @@ def betweenness(g: Graph, workers: int = 1, cost_budget: int = BETWEENNESS_COST_
     output is bitwise identical for any worker count; workers > 1 run
     blocks on forked processes.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     n = g.n
     if n == 0:
         return CentralityScores(metric="betweenness", values=np.zeros(0))

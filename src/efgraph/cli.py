@@ -339,20 +339,21 @@ def cmd_centrality(args, manifest) -> None:
         write_scores_csv(g, scores, fh)
 
 
-def _sir_params(g: Graph, args) -> SirParams:
-    """--beta, else beta calibrated for --r0; --mu, else 1/--recovery-days (calibrate's own mu)."""
+def _sir_params(g: Graph, args, manifest: dict) -> SirParams:
+    """--beta, else beta calibrated for --r0; --mu, else 1/--recovery-days (calibrate's own mu); recorded as manifest["sir"]."""
     cap = step_cap(g) if args.max_steps is None else args.max_steps  # an explicit 0 is refused, not replaced
     if args.mu is None and not args.recovery_days > 0:  # NaN too; 1/0 would raise ZeroDivisionError
         raise ValueError(f"recovery_days must be positive, got {args.recovery_days}")
     mu = 1.0 / args.recovery_days if args.mu is None else args.mu
     beta = calibrate(g, r0=args.r0, recovery_days=args.recovery_days).beta if args.beta is None else args.beta
-    return SirParams(beta=beta, mu=mu, max_steps=cap)
+    p = SirParams(beta=beta, mu=mu, max_steps=cap)  # checked before it is recorded
+    manifest["sir"] = {"beta": p.beta, "mu": p.mu, "max_steps": p.max_steps}
+    return p
 
 
 def cmd_simulate(args, manifest) -> None:
     g = _load_graph(args.input, manifest)
-    p = _sir_params(g, args)
-    manifest["sir"] = {"beta": p.beta, "mu": p.mu, "max_steps": p.max_steps}
+    p = _sir_params(g, args, manifest)
     index = None
     if args.index is not None:
         index = int(np.searchsorted(g.orig_ids, args.index))  # orig_ids ascend
@@ -393,8 +394,7 @@ def cmd_analyze(args, manifest) -> None:
 
 def _analyze_report(args, manifest):
     g = _load_graph(args.input, manifest)
-    p = _sir_params(g, args)
-    manifest["sir"] = {"beta": p.beta, "mu": p.mu, "max_steps": p.max_steps}
+    p = _sir_params(g, args, manifest)
     with _phase(manifest, "ef"):
         ef_result = compute_ef(g, workers=args.workers)
 

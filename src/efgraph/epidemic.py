@@ -255,8 +255,6 @@ def run_scenarios(g: Graph, p: SirParams, scenarios, reps: int, workers: int = 1
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if g.n == 0:
         raise ValueError("cannot simulate on an empty graph")
     cases, seeds, sets = [], [], []

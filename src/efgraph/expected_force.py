@@ -27,9 +27,11 @@ Two interchangeable algorithms are provided:
   independently walks its own star pairs and 2-hop chains, rebuilding every
   shared cluster once per member. Kept as the reference baseline.
 
-Both produce identical integer histograms, and the entropy pass is shared,
-so their outputs are bitwise equal. Vertex-centric node blocks run on
-forked worker processes; cluster-centric chunks run serially.
+Both produce identical integer histograms, and the entropy pass and the
+score loop are shared, so their outputs are bitwise equal. The score loop
+runs the node ranges (cluster-centric chunks, vertex-centric blocks of 64
+nodes) on forked worker processes and writes each range's scores in range
+order; the cluster-centric kernel is set up serially before it.
 """
 from __future__ import annotations
 
@@ -74,8 +76,8 @@ class EFResult:
         flags: uint8 per node, one of the FLAG_* constants
         clusters_processed: clusters covered by the run; for
             cluster_centric this is the number of distinct clusters,
-            sum of C(deg(v), 2), for vertex_centric the total number of
-            per-node cluster visits
+            cluster_count = sum of C(deg(v), 2), for vertex_centric
+            3 * cluster_count, as each cluster is built once per member
     """
 
     ef: np.ndarray
@@ -107,30 +109,34 @@ def write_ef_csv(g: Graph, result: EFResult, stream) -> None:
 def ef_cluster_centric(g: Graph, workers: int = 1) -> EFResult:
     """Expected Force via owner-local neighbor-degree-class histograms.
 
-    Nodes are split into contiguous owner chunks of one internal entry/bin
-    budget each, run in order. A chunk builds the exact integer histograms
-    of its own nodes from degree classes and a shared triangle list
-    (wedges tested against a hash table of the edges), hands the nonzero
-    bins to the entropy pass as rows, and drops them. Chunks own disjoint
-    nodes and each node's entropy sums run in a fixed order, so the output
-    is bitwise identical for any entry budget.
-    `workers` is accepted and unused: processes over the chunks gave
-    1.0-1.3x at 2 workers on R-MAT s14 d16, as the kernel set-up runs
-    before any chunk.
+    The kernel is set up serially: degree classes and a shared triangle
+    list (wedges tested against a hash table of the edges). Nodes are then
+    split into contiguous owner chunks of one internal entry/bin budget
+    each, run by the shared score loop on up to `workers` forked processes,
+    which inherit the kernel. A chunk builds the exact integer histograms
+    of its own nodes, hands the nonzero bins to the entropy pass as rows,
+    and drops them. Chunks own disjoint nodes and each node's entropy sums
+    run in a fixed order, so the output is bitwise identical for any entry
+    budget and worker count.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if g.n == 0:
         return _empty_result()
-
     kernel = _DegreeClassKernel(g)
-    efv = np.zeros(g.n)
-    mass = np.zeros(g.n, dtype=np.int64)
-    flags = np.zeros(g.n, dtype=np.uint8)
+    return _score_ranges(g.n, _budget_ranges(kernel.cost, _ENTRY_BUDGET), kernel.scores, workers, cluster_count(g))
 
-    for s, e in _budget_ranges(kernel.cost, _ENTRY_BUDGET):
-        efv[s:e], mass[s:e], flags[s:e] = kernel.scores(s, e)
-    return EFResult(ef=efv, cluster_total=mass, flags=flags, clusters_processed=cluster_count(g))
+
+def _score_ranges(n: int, ranges, scores, workers: int, clusters_processed: int) -> EFResult:
+    """The score loop of both algorithms: fill each node range [s, e) from scores(s, e).
+
+    The ranges run on parallel_map, and each range's (ef, cluster_total,
+    flags) is written as it arrives, in range order.
+    """
+    efv = np.zeros(n)
+    mass = np.zeros(n, dtype=np.int64)
+    flags = np.zeros(n, dtype=np.uint8)
+    for part, (s, e) in zip(parallel_map(lambda r: scores(*r), ranges, workers), ranges):
+        efv[s:e], mass[s:e], flags[s:e] = part
+    return EFResult(ef=efv, cluster_total=mass, flags=flags, clusters_processed=clusters_processed)
 
 
 def _budget_ranges(cost: np.ndarray, budget: int) -> list[tuple[int, int]]:
@@ -413,11 +419,10 @@ def ef_vertex_centric(g: Graph, workers: int = 1) -> EFResult:
     (k != u) counts once; chains are distinct entries even when they
     coincide setwise with a star. Each node builds its own histogram, so
     shared clusters are re-evaluated once per member. Blocks of 64 nodes
-    run on up to `workers` forked processes, handed out one at a time to
-    absorb the skewed per-node load.
+    are scored where they run, by the shared score loop on up to `workers`
+    forked processes, handed out one at a time to absorb the skewed
+    per-node load.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if g.n == 0:
         return _empty_result()
 
@@ -435,7 +440,6 @@ def ef_vertex_centric(g: Graph, workers: int = 1) -> EFResult:
         hist: dict[int, int] = {}
         neigh = adj[u]
         du = deg[u]
-        visits = 0
         for x in range(len(neigh) - 1):
             i = neigh[x]
             base = du + deg[i] - 4
@@ -443,7 +447,6 @@ def ef_vertex_centric(g: Graph, workers: int = 1) -> EFResult:
                 j = neigh[y]
                 d = base + deg[j] - (2 if connected(i, j) else 0)
                 hist[d] = hist.get(d, 0) + 2
-                visits += 1
         for i in neigh:
             base = du + deg[i] - 4
             for k in adj[i]:
@@ -451,16 +454,14 @@ def ef_vertex_centric(g: Graph, workers: int = 1) -> EFResult:
                     continue
                 d = base + deg[k] - (2 if connected(u, k) else 0)
                 hist[d] = hist.get(d, 0) + 1
-                visits += 1
-        return sorted(hist.items()), visits
+        return sorted(hist.items())
 
-    def work(block: range):
-        return [node_histogram(u) for u in block]
+    log_table = _log_table(g.degrees())
 
-    blocks = [range(s, min(s + 64, g.n)) for s in range(0, g.n, 64)]
-    hists = [h for block in parallel_map(work, blocks, workers) for h in block]
-    rows = np.array([(u, d, c) for u, (items, _) in enumerate(hists) for d, c in items], dtype=np.int64)
-    rows = rows.reshape(-1, 3)  # (node, degree, count)
-    efv, mass, flags = _scores_from_histograms(g.n, rows[:, 0], rows[:, 1], rows[:, 2], _log_table(g.degrees()))
-    visits_total = sum(visits for _, visits in hists)
-    return EFResult(ef=efv, cluster_total=mass, flags=flags, clusters_processed=visits_total)
+    def scores(s: int, e: int):
+        rows = np.array([(u - s, d, c) for u in range(s, e) for d, c in node_histogram(u)], dtype=np.int64)
+        rows = rows.reshape(-1, 3)  # (node - s, degree, count)
+        return _scores_from_histograms(e - s, rows[:, 0], rows[:, 1], rows[:, 2], log_table)
+
+    blocks = [(s, min(s + 64, g.n)) for s in range(0, g.n, 64)]
+    return _score_ranges(g.n, blocks, scores, workers, 3 * cluster_count(g))

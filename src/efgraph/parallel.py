@@ -18,12 +18,15 @@ def usable_cores() -> int:
 def parallel_map(fn, tasks, workers: int):
     """Yield fn(t) for each task in task order, on min(workers, len(tasks), usable cores) processes.
 
-    Below two processes, or without fork, the tasks run serially in this
-    process. A task's exception reaches the caller; a dead worker raises
+    workers below 1 raises ValueError when the map starts. Below two
+    processes, or without fork, the tasks run serially in this process. A
+    task's exception reaches the caller; a dead worker raises
     BrokenProcessPool. Results are yielded in order as they arrive, so a
     caller that folds them holds only the ones not yet folded.
     """
     global _JOB
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     tasks = list(tasks)
     procs = min(workers, len(tasks), usable_cores())
     if procs < 2 or not hasattr(os, "fork"):
