@@ -40,7 +40,7 @@ _WRITE_ROWS = 1 << 16  # edges formatted per write, bounding the text held at on
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10^18: a k-digit id passes k - 1 of them
 _RMAT_ROWS = 1 << 16  # R-MAT draws per block of uniforms (7 MB at scale 14); a smaller block leaves glibc's
 # mmap threshold lower, which slows a later EF call in the same process (the c05 acceptance gate)
-_RMAT_BYTES_PER_EDGE = 256  # a `generate` process peaks at ~236 B per target edge at s16 d16, ~140 at s20
+_RMAT_BYTES_PER_EDGE = 256  # a `generate` process peaks at ~180 B per target edge at s16 d16, ~116 at s18, ~98 at s20
 
 
 @dataclass
@@ -198,7 +198,8 @@ def grouped_arange(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray,
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique(a) of a 1-d int array by sort and neighbor mask; numpy 2.4 hashes instead, ~50x slower."""
+    """np.unique(a) of a 1-d int array by sort and neighbor mask; numpy 2.4 hashes instead, ~8x slower
+    (0.43-0.51 against 0.055-0.060 s on R-MAT s18 d16's 4.2M endpoints in shuffled order)."""
     a = np.sort(a)
     keep = np.ones(a.size, dtype=bool)
     keep[1:] = a[1:] != a[:-1]
@@ -210,40 +211,29 @@ def build_graph(edges) -> Graph:
 
     Self-loops are dropped, edges are symmetrized and deduplicated, nodes
     left without any edge are removed, and the survivors are densely
-    relabeled in ascending original-id order. Degenerate input yields the
-    empty graph.
+    relabeled in ascending original-id order, then enter the CSR step that
+    generate_rmat ends in too. Degenerate input yields the empty graph.
     """
-    arr = np.asarray(edges, dtype=np.int64)
-    if arr.size == 0:
-        return _empty_graph()
-    arr = arr.reshape(-1, 2)
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     arr = arr[arr[:, 0] != arr[:, 1]]
-    if arr.shape[0] == 0:
-        return _empty_graph()
-
     orig_ids = _sorted_unique(arr.ravel())
+    lo = np.searchsorted(orig_ids, np.minimum(arr[:, 0], arr[:, 1]))
+    hi = np.searchsorted(orig_ids, np.maximum(arr[:, 0], arr[:, 1]))
+    return _csr(orig_ids, _sorted_unique(lo * orig_ids.size + hi))
+
+
+def _csr(orig_ids: np.ndarray, codes: np.ndarray) -> Graph:
+    """The Graph on nodes orig_ids whose edges are the sorted distinct codes lo * n + hi, lo < hi < n."""
     n = int(orig_ids.size)
     if n >= _MAX_NODES:
         raise ValueError(f"graph too large: {n} nodes exceeds int32 id space")
-    lo = np.searchsorted(orig_ids, np.minimum(arr[:, 0], arr[:, 1]))
-    hi = np.searchsorted(orig_ids, np.maximum(arr[:, 0], arr[:, 1]))
-    codes = _sorted_unique(lo * np.int64(n) + hi)
-    m = int(codes.size)
-
     # both directions as src * n + dst keys; one sort orders the CSR rows
     keys = np.concatenate([codes, codes % n * n + codes // n])
     keys.sort()
-    src = keys // n
-    dst = keys - src * n
-
+    src, dst = np.divmod(keys, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return Graph(n=n, m=m, offsets=offsets, neighbors=dst.astype(np.int32), orig_ids=orig_ids)
-
-
-def _empty_graph() -> Graph:
-    return Graph(n=0, m=0, offsets=np.zeros(1, dtype=np.int64), neighbors=np.zeros(0, dtype=np.int32),
-                 orig_ids=np.zeros(0, dtype=np.int64))
+    return Graph(n=n, m=int(codes.size), offsets=offsets, neighbors=dst.astype(np.int32), orig_ids=orig_ids)
 
 
 def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:
@@ -264,7 +254,8 @@ def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:
     of the run's indices. A minimum does not depend on the order of the
     run's ties, so the output is the same whichever path sorted them. The
     new codes are found by binary search in the sorted codes kept so far
-    and merged into them.
+    and merged into them. At the end their ids are relabeled by rank among
+    those present, and the codes enter build_graph's CSR step directly.
     """
     a, b, c, _ = params.quadrant_probs
     side = 1 << params.scale
@@ -303,7 +294,13 @@ def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:
             fresh &= first < np.partition(first[fresh], need)[need]
         seen = np.insert(seen, at[fresh], uniq[fresh])  # a linear merge: both are sorted
 
-    return build_graph(np.stack([seen // side, seen % side], axis=1)), seen.size < target
+    # relabel by rank among the ids present (a cumsum over a 2^N mask): monotone, so codes stay sorted and distinct
+    lo, hi = seen >> params.scale, seen & (side - 1)
+    present = np.zeros(side, dtype=bool)
+    present[lo] = present[hi] = True
+    dense = np.cumsum(present) - 1
+    orig_ids = np.flatnonzero(present)
+    return _csr(orig_ids, dense[lo] * orig_ids.size + dense[hi]), seen.size < target
 
 
 def _rmat_codes(rng: np.random.Generator, draws: int, scale: int, cuts: tuple[float, float, float]) -> np.ndarray:

@@ -113,6 +113,10 @@ class TestParseFastPath:
             assert edges.tolist() == want
 
 
+# all mass on the diagonal quadrants' corner: every R-MAT draw is a self-loop
+_ALL_SELF_LOOPS = RmatParams(scale=1, avg_degree=1, quadrant_probs=(1.0, 0.0, 0.0, 0.0), seed=0)
+
+
 class TestBuildGraph:
     def test_dedupe_and_self_loop_drop(self):
         g = build_graph([(0, 1), (1, 0), (2, 2)])
@@ -130,8 +134,14 @@ class TestBuildGraph:
         assert g.orig_ids.tolist() == [5, 9]
 
     def test_empty_and_self_loop_only(self):
-        assert build_graph([]).n == 0
-        assert build_graph([(3, 3)]).n == 0
+        all_self_loops, truncated = generate_rmat(_ALL_SELF_LOOPS)
+        assert truncated
+        for g in (build_graph([]), build_graph([(3, 3)]), build_graph(np.zeros((0, 2), dtype=np.int64)),
+                  all_self_loops):
+            assert (g.n, g.m) == (0, 0)
+            assert g.offsets.dtype == np.int64 and g.offsets.tolist() == [0]
+            assert g.neighbors.dtype == np.int32 and g.neighbors.size == 0
+            assert g.orig_ids.dtype == np.int64 and g.orig_ids.size == 0
 
     def test_csr_matches_oracle_adjacency(self):
         for seed in range(4):
@@ -272,9 +282,7 @@ class TestRmat:
         assert g.avg_degree() <= 8 * 3
 
     def test_truncation_flag(self):
-        # all mass on the diagonal quadrants' corner: every draw is a self-loop
-        params = RmatParams(scale=1, avg_degree=1, quadrant_probs=(1.0, 0.0, 0.0, 0.0), seed=0)
-        g, truncated = generate_rmat(params)
+        g, truncated = generate_rmat(_ALL_SELF_LOOPS)
         assert truncated
         assert g.n == 0
 
@@ -316,6 +324,23 @@ class TestRmat:
         write_edge_list(g, buf)
         assert got_truncated == truncated
         assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == digest
+
+    # the graphs test_edge_list_bytes_pinned pins, and the empty one
+    @pytest.mark.parametrize("params", [
+        RmatParams(scale=14, avg_degree=16, seed=116),
+        RmatParams(scale=12, avg_degree=8, seed=1),
+        RmatParams(scale=8, avg_degree=8, seed=2, quadrant_probs=(0.85, 0.05, 0.05, 0.05)),
+        RmatParams(scale=5, avg_degree=8, seed=3, quadrant_probs=(0.9, 0.04, 0.04, 0.02)),
+        _ALL_SELF_LOOPS,
+    ], ids=["s14-d16-seed116", "s12-d8-seed1", "skewed-multi-batch", "truncated", "all-self-loops"])
+    def test_graph_equals_build_graph_of_its_edges(self, params):
+        g, _ = generate_rmat(params)
+        src = np.repeat(np.arange(g.n), g.degrees())  # each edge in both directions
+        h = build_graph(np.stack([g.orig_ids[src], g.orig_ids[g.neighbors]], axis=1))
+        assert (g.n, g.m) == (h.n, h.m)
+        for name in ("offsets", "neighbors", "orig_ids"):
+            got, want = getattr(g, name), getattr(h, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     def test_target_beyond_memory_refused_before_sampling(self):
         started = time.perf_counter()
