@@ -12,8 +12,11 @@ Each replicate owns a generator seeded with base_seed XOR replicate index
 and reads it in a fixed order per step: one uniform per susceptible contact,
 one per newly infected node (parent pick), one per infectious node
 (recovery). One kernel advances a block of replicates in lockstep over flat
-keys r*n + v, each step one `Graph.expand` gather of the whole block's
-infectious keys, so an outcome does not depend on its block. `run_scenarios`
+keys r*n + v. Each step gathers the contacts of the block's infectious keys
+by `Graph.expand` in runs of consecutive keys, at most _CONTACT_BUDGET
+contacts a run unless one key alone exceeds it, so a step's memory does not
+grow with its frontier, and an outcome depends neither on its block nor on
+the runs. `run_scenarios`
 is the one entry and the one place a scenario (base seed, index case,
 immunized set) is checked: it runs the scenarios' replicates as one plan on
 one pool (a block may mix immunized sets row by row). Where a block runs,
@@ -31,7 +34,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _budget_ranges
 from .parallel import parallel_map
 
 __all__ = [
@@ -53,6 +56,12 @@ __all__ = [
 _SEED_MASK = (1 << 64) - 1
 _INDEX_STREAM = 0x1D  # substream tag for random index-case selection
 _REPLICATE_BUDGET = 1 << 18  # replicates x nodes held in one lockstep block
+# Contacts gathered at once within a step. A contact costs ~24 bytes of
+# gather temporaries, so a run's ~1.5 MB stays below a block's own state
+# (~3.4 MB of status and records at the replicate budget); unsplit, one step
+# of a block on R-MAT s12 d8 gathers up to 384,600 contacts. Each run costs
+# one Python pass, so the budget is not set lower than it needs to be.
+_CONTACT_BUDGET = 1 << 16
 GLOBAL_THRESHOLD = 0.25  # default ever-infected fraction of a global outbreak
 
 
@@ -140,8 +149,14 @@ def _draw(rngs: list, sizes: np.ndarray) -> np.ndarray:
 def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: list) -> list[SimOutcome]:
     """Advance one replicate per seed in lockstep; outcome r equals a lone run of seeds[r] and immunized[r].
 
-    Sources are located only for successful contacts, and each replicate's
-    S/I/R series is counted from its infection and recovery steps at the end.
+    Each step splits its sorted infectious keys into runs of at most
+    _CONTACT_BUDGET contacts (`_budget_ranges`). Per run: one `Graph.expand`
+    gather, the susceptibility test, the contact draws, and the hit targets
+    with their sources. A replicate's keys may span runs, and its draws
+    continue its own stream in key order, so the runs do not change any
+    value. Parent picks, recoveries and state updates follow once per step
+    over the hits of all runs. Each replicate's S/I/R series is counted from
+    its infection and recovery steps at the end.
     """
     n = g.n
     block = len(seeds)
@@ -159,27 +174,33 @@ def _run_block(g: Graph, p: SirParams, index_cases, seeds, immunized: list) -> l
     infected = [active]
     lane_ends = (rows + 1) * n
 
+    degree = g.degrees()
     step = 0
     while active.size and step < p.max_steps:
         step += 1
-        keys, counts = g.expand(active)
-        ends = np.cumsum(counts)
-        a_stop = np.searchsorted(active, lane_ends)  # per replicate: end of its keys, then of their contacts
-        e_stop = np.append(0, ends)[a_stop]
-        cand_pos = np.flatnonzero(status[keys] == 0)
-        hit_pos = cand_pos[_draw(rngs, np.diff(np.searchsorted(cand_pos, e_stop), prepend=0)) < p.beta]
-        order = np.argsort(keys[hit_pos], kind="stable")
-        targets = keys[hit_pos[order]]
+        targets, sources = [], []
+        for s, e in _budget_ranges(degree[active % n], _CONTACT_BUDGET):
+            run = active[s:e]
+            keys, counts = g.expand(run)
+            ends = np.cumsum(counts)
+            e_stop = np.append(0, ends)[np.searchsorted(run, lane_ends)]  # per replicate: end of its contacts
+            cand_pos = np.flatnonzero(status[keys] == 0)
+            hit_pos = cand_pos[_draw(rngs, np.diff(np.searchsorted(cand_pos, e_stop), prepend=0)) < p.beta]
+            targets.append(keys[hit_pos])
+            sources.append(run[np.searchsorted(ends, hit_pos, side="right")])
+        targets = np.concatenate(targets)
+        order = np.argsort(targets, kind="stable")
+        targets = targets[order]
         starts = np.flatnonzero(np.diff(targets, prepend=-1))
         new = targets[starts]
         sizes = np.diff(np.append(starts, targets.size))
         u = _draw(rngs, np.bincount(new // n, minlength=block))
         picks = starts + np.floor(u * sizes).astype(np.int64)
-        recov = _draw(rngs, np.diff(a_stop, prepend=0)) < p.mu
+        recov = _draw(rngs, np.bincount(active // n, minlength=block)) < p.mu
 
         status[active[recov]] = 2
         status[new] = 1
-        record[0, new] = active[np.searchsorted(ends, hit_pos[order[picks]], side="right")] % n
+        record[0, new] = np.concatenate(sources)[order[picks]] % n
         record[1, new] = step
         record[2, active[recov]] = step
         infected.append(new)
@@ -327,7 +348,10 @@ def spreading_power(outcomes, v: int, order: int, conditional: bool = False) -> 
     outcomes = list(outcomes)
     if not outcomes:
         raise ValueError("need at least one outcome")
-    sums, infected = descendant_sums(outcomes, outcomes[0].n, order)
+    n = outcomes[0].n
+    if not 0 <= v < n:
+        raise ValueError(f"node id {v} out of range [0, {n})")
+    sums, infected = descendant_sums(outcomes, n, order)
     total = float(sums[order - 1, v])
     if conditional:
         return total / int(infected[v]) if infected[v] else 0.0

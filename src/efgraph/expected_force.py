@@ -41,7 +41,7 @@ from functools import reduce
 
 import numpy as np
 
-from .graph import Graph, cluster_count, grouped_arange
+from .graph import Graph, _budget_ranges, cluster_count, grouped_arange
 from .parallel import parallel_map
 
 __all__ = [
@@ -137,23 +137,6 @@ def _score_ranges(n: int, ranges, scores, workers: int, clusters_processed: int)
     for part, (s, e) in zip(parallel_map(lambda r: scores(*r), ranges, workers), ranges):
         efv[s:e], mass[s:e], flags[s:e] = part
     return EFResult(ef=efv, cluster_total=mass, flags=flags, clusters_processed=clusters_processed)
-
-
-def _budget_ranges(cost: np.ndarray, budget: int) -> list[tuple[int, int]]:
-    """Split 0..len(cost) into contiguous ranges of total cost <= budget.
-
-    A range holds at least one item, so a single item over budget forms a
-    range of its own.
-    """
-    cum = np.cumsum(cost)
-    ranges = []
-    s = 0
-    while s < cost.size:
-        before = int(cum[s - 1]) if s else 0
-        e = max(int(np.searchsorted(cum, before + budget, side="right")), s + 1)
-        ranges.append((s, e))
-        s = e
-    return ranges
 
 
 class _DegreeClassKernel:

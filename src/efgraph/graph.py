@@ -194,7 +194,26 @@ def _parse_plain_pairs(text: str) -> np.ndarray | None:
 def grouped_arange(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(index, ends): the concatenation of arange(starts[k], starts[k] + lengths[k]) over k, and cumsum(lengths)."""
     ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(int(ends[-1]) if ends.size else 0), ends
+    index = np.repeat(starts - ends + lengths, lengths)
+    index += np.arange(index.size)
+    return index, ends
+
+
+def _budget_ranges(cost: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Split 0..len(cost) into contiguous ranges of total cost <= budget.
+
+    A range holds at least one item, so a single item over budget forms a
+    range of its own.
+    """
+    cum = np.cumsum(cost)
+    ranges = []
+    s = 0
+    while s < cost.size:
+        before = int(cum[s - 1]) if s else 0
+        e = max(int(np.searchsorted(cum, before + budget, side="right")), s + 1)
+        ranges.append((s, e))
+        s = e
+    return ranges
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from efgraph.epidemic import (
     spreading_power,
     time_to_peak,
 )
-from efgraph.graph import build_graph
+from efgraph.graph import RmatParams, build_graph, generate_rmat
 from efgraph.parallel import usable_cores
 
 from conftest import complete_edges, cycle_edges, er_edges, path_edges, star_edges
@@ -211,19 +212,35 @@ class TestReplicates:
     def test_block_size_invariant(self, monkeypatch, params, kwargs):
         g = build_graph(er_edges(60, 0.1, 6))
         reps = 10
-        runs = {}
-        for size in (1, 3, reps):
-            monkeypatch.setattr(epidemic, "_REPLICATE_BUDGET", size * g.n)
-            runs[size] = run_replicates(g, params, reps, base_seed=31, **kwargs)
-        assert any(o.truncated for o in runs[1]) == (params.max_steps == 3)
-        for size in (3, reps):
-            for a, b in zip(runs[1], runs[size]):
+        default = epidemic._CONTACT_BUDGET
+        real = epidemic._budget_ranges
+        splits = []  # per step: its runs of infectious keys
+
+        def ranges(cost, budget):
+            splits.append(real(cost, budget))
+            return splits[-1]
+
+        monkeypatch.setattr(epidemic, "_budget_ranges", ranges)
+        runs, most_runs = {}, {}
+        for contacts in (1, 8, default):  # one key per run; a few keys per run; whole steps
+            for size in (1, 3, reps):
+                monkeypatch.setattr(epidemic, "_CONTACT_BUDGET", contacts)
+                monkeypatch.setattr(epidemic, "_REPLICATE_BUDGET", size * g.n)
+                runs[contacts, size] = run_replicates(g, params, reps, base_seed=31, **kwargs)
+                most_runs[contacts, size] = max(len(r) for r in splits)
+                splits.clear()
+        base = runs[default, 1]
+        assert any(o.truncated for o in base) == (params.max_steps == 3)
+        # with one replicate per block, more than one run in a step splits that replicate's frontier
+        assert (most_runs[8, 1] > 1) == (params.beta > 0)
+        for key, other in runs.items():
+            for a, b in zip(base, other):
                 for name in ("series", "nodes", "parents", "infected_at", "recovered_at"):
                     assert getattr(a, name).dtype == getattr(b, name).dtype
-                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), (key, name)
                 for name in ("steps", "truncated", "direct_infections_by_index", "index_case"):
-                    assert getattr(a, name) == getattr(b, name), name
-        for rep, o in enumerate(runs[1]):  # a block of one is run_sir
+                    assert getattr(a, name) == getattr(b, name), (key, name)
+        for rep, o in enumerate(base):  # a block of one is run_sir
             lone = run_sir(g, params, o.index_case, immunized=kwargs.get("immunized", frozenset()),
                            rng_seed=31 ^ rep)
             assert np.array_equal(lone.series, o.series) and np.array_equal(lone.parents, o.parents)
@@ -243,6 +260,30 @@ class TestReplicates:
                         assert x.dtype == y.dtype and np.array_equal(x, y), f.name
                     else:
                         assert x == y, f.name
+
+    def test_block_peak_follows_contact_budget(self, monkeypatch):
+        g, _ = generate_rmat(RmatParams(scale=12, avg_degree=8, seed=1))
+        real = epidemic._run_block
+        peaks = []
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+
+        monkeypatch.setattr(epidemic, "_run_block", traced)
+        tracemalloc.start()
+        try:
+            run_replicates(g, calibrate(g), 256, base_seed=7)  # 3 blocks of up to 99 replicates
+        finally:
+            tracemalloc.stop()
+        # Measured largest-block traced peaks here: 12.5 MB when a step
+        # gathered the contacts of all of a block's infectious keys at once,
+        # 5.8 MB with runs of at most 2^16 contacts, of which ~3.4 MB is the
+        # block's status and record arrays.
+        assert len(peaks) == 3 and max(peaks) < 9e6
 
     def test_rejects_no_candidate(self):
         g = build_graph(complete_edges(3))
@@ -402,6 +443,12 @@ class TestSpreadingPower:
             spreading_power([], 0, 1)
         with pytest.raises(ValueError):
             spreading_power([o], 0, 5)
+
+    @pytest.mark.parametrize("v", [-1, 10])
+    def test_rejects_node_out_of_range(self, v):
+        o = _forest_outcome({0: None, 9: 0}, {0: 0, 9: 1})  # n = 10, so -1 would read node 9's sums
+        with pytest.raises(ValueError, match="out of range"):
+            spreading_power([o], v, 1)
 
 
 class TestOutbreakStats:
