@@ -16,13 +16,17 @@ Two interchangeable algorithms are provided:
   triangle it belongs to, listed once by the degree-ordered forward
   algorithm with a linear-probing hash table as the edge test. A triangle
   is kept as its members' int32 partner degree sums, one list per member,
-  sorted per bucket, with no global key array. The set-up is 32-bit: node
-  ids are int32, products are formed in int64, and the members' keys are
-  int32 local keys in member-range buckets, each sorted on its own. Every
-  cluster is still credited exactly once to each of its three members.
-  Nodes are processed in owner chunks whose dense histogram bins are
-  bounded by a fixed budget; each chunk reads its nonzero bins straight
-  into the entropy pass as (node, degree, count) rows and drops them.
+  sorted per bucket. The set-up is 32-bit: node ids are int32, products
+  are formed in int64, and the members' keys are int32 local keys in
+  member-range buckets, each sorted on its own. Every cluster is still
+  credited exactly once to each of its three members. Triangles are listed
+  before the degree classes are built, so the listing's peak holds no
+  class array. Nodes are processed in owner chunks whose dense histogram
+  bins are bounded by a fixed budget; the kernel keeps per-node and
+  per-class arrays plus the triangle lists, and each chunk rebuilds the
+  slot and class indexes it reads (slot owners, class ends, per-slot class
+  counts) from the class offsets, reads its nonzero bins straight into the
+  entropy pass as (node, degree, count) rows and drops them.
 * vertex_centric: the original per-node formulation. Each node
   independently walks its own star pairs and 2-hop chains, rebuilding every
   shared cluster once per member. Kept as the reference baseline.
@@ -119,8 +123,6 @@ def ef_cluster_centric(g: Graph, workers: int = 1) -> EFResult:
     run in a fixed order, so the output is bitwise identical for any entry
     budget and worker count.
     """
-    if g.n == 0:
-        return _empty_result()
     kernel = _DegreeClassKernel(g)
     return _score_ranges(g.n, _budget_ranges(kernel.cost, _ENTRY_BUDGET), kernel.scores, workers, cluster_count(g))
 
@@ -154,11 +156,14 @@ class _DegreeClassKernel:
     * triangle: each triangle {x, b, c} moves its 4 credits of x (2 as the
       middle, 1 per wing) from t = d_b + d_c to t = d_b + d_c - 2.
 
-    Triangles are held as one int32 list of t per member (see
-    _triangle_partner_sums). Node ids (owner, nbr: the graph's own int32
-    neighbor array) stay int32; class keys and edge codes are formed in
-    int64. Bins sum integer-valued float64 credits, exact below 2^53, so
-    neither entry order nor a repeated t changes any bin.
+    The kernel holds the degrees, the graph's own int32 neighbor array and
+    offsets, the classes (coff: per-node offsets; cdeg, ccnt: per-class
+    degree and count), the triangles as one int32 list of t per member
+    (see _triangle_partner_sums), and per-node bin ranges and costs. Slot
+    owners, class ends and per-slot class counts are rebuilt by each chunk
+    for its own nodes from coff and the offsets. Class keys and edge codes
+    are formed in int64. Bins sum integer-valued float64 credits, exact
+    below 2^53, so neither entry order nor a repeated t changes any bin.
     """
 
     def __init__(self, g: Graph):
@@ -166,34 +171,35 @@ class _DegreeClassKernel:
         deg = g.degrees()
         owner = np.repeat(np.arange(n, dtype=np.int32), deg)
         nbr = g.neighbors
-        span = int(deg.max()) + 1
-        keys, ccnt = np.unique(owner * np.int64(span) + deg[nbr], return_counts=True)
+        span = int(deg.max(initial=0)) + 1
+        self.tri_t, self.tri_off = _triangle_partner_sums(g, deg, owner, nbr, 2 * span - 1)
+
+        keys = np.sort(owner * np.int64(span) + deg[nbr])
+        head = np.flatnonzero(np.diff(keys, prepend=-1))  # keys >= 0, so each run opens with a nonzero step
+        ccnt = np.diff(head, append=keys.size)
+        keys = keys[head]
         cnode = keys // span
         coff = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(cnode, minlength=n), out=coff[1:])
         cdeg = keys - cnode * span
         nclass = np.diff(coff)
 
-        self.tri_t, self.tri_off = _triangle_partner_sums(g, deg, owner, nbr, 2 * span - 1)
-
-        # dense bin range per owner: every credit's t lies in [t_lo, t_hi]
+        # dense bin range per owner: every credit's t lies in [t_lo, t_hi]; sums are
+        # formed per node and gathered once, so one slot-sized temporary is live at a time
         cmin = cdeg[coff[:-1]]
         cmax = cdeg[coff[1:] - 1]
         starts = g.offsets[:-1]
-        t_lo = np.minimum(2 * cmin, np.minimum.reduceat(deg[nbr] + cmin[nbr], starts)) - 2
-        t_hi = np.maximum(2 * cmax, np.maximum.reduceat(deg[nbr] + cmax[nbr], starts))
+        t_lo = np.minimum(2 * cmin, np.minimum.reduceat((deg + cmin)[nbr], starts)) - 2
+        t_hi = np.maximum(2 * cmax, np.maximum.reduceat((deg + cmax)[nbr], starts))
 
         self.deg = deg
-        self.owner = owner
         self.nbr = nbr
         self.offsets = g.offsets
-        self.cnode, self.cdeg, self.ccnt, self.coff = cnode, cdeg, ccnt.astype(np.float64), coff
-        self.class_end = coff[cnode + 1]
-        self.slot_cost = nclass[nbr] + 1
+        self.cdeg, self.ccnt, self.coff = cdeg, ccnt.astype(np.float64), coff
         self.t_lo = t_lo
         self.width = t_hi - t_lo + 1
         self.log_table = _log_table(deg)
-        wing = np.add.reduceat(self.slot_cost, starts)
+        wing = np.add.reduceat((nclass + 1)[nbr], starts)
         self.cost = nclass * (nclass + 1) // 2 + wing + 2 * np.diff(self.tri_off) + self.width
 
     def scores(self, s: int, e: int):
@@ -212,13 +218,14 @@ class _DegreeClassKernel:
 
     def _credits(self, s, e, base):
         """Yield (bin index, count) batches holding every credit of owners s..e-1."""
-        deg, cdeg, ccnt = self.deg, self.cdeg, self.ccnt
+        deg, cdeg, ccnt, coff = self.deg, self.cdeg, self.ccnt, self.coff
 
-        p = np.arange(self.coff[s], self.coff[e])
-        pairs = self.class_end[p] - p
+        nclass = np.diff(coff[s : e + 1])
+        p = np.arange(coff[s], coff[e])
+        pairs = np.repeat(coff[s + 1 : e + 1], nclass) - p  # classes from p to its owner's last
         q, ends = grouped_arange(p, pairs)
         diag = ends - pairs  # the a == b pair opens each class's run
-        mid_idx = np.repeat(base[self.cnode[p] - s] + cdeg[p], pairs) + cdeg[q]
+        mid_idx = np.repeat(np.repeat(base, nclass) + cdeg[p], pairs) + cdeg[q]
         mid_w = np.repeat(2 * ccnt[p], pairs) * ccnt[q]
         mid_w[diag] = ccnt[p] * (ccnt[p] - 1)
 
@@ -229,12 +236,12 @@ class _DegreeClassKernel:
         # every owner has a slot (graphs hold no isolated nodes), so the
         # middle and triangle credits ride along with the first wing batch
         idx_parts, w_parts = [mid_idx, tri_idx], [mid_w, tri_w]
-        o0, o1 = self.offsets[s], self.offsets[e]
-        for b0, b1 in _budget_ranges(self.slot_cost[o0:o1], _ENTRY_BUDGET):
-            v = self.nbr[o0 + b0 : o0 + b1].astype(np.intp)  # one cast, not one per gather
-            x = self.owner[o0 + b0 : o0 + b1].astype(np.intp)
-            nclass = self.slot_cost[o0 + b0 : o0 + b1] - 1
-            cls = grouped_arange(self.coff[v], nclass)[0]
+        owner = np.repeat(np.arange(s, e), deg[s:e])
+        nbr = self.nbr[self.offsets[s] : self.offsets[e]].astype(np.intp)  # one cast, not one per gather
+        slot_classes = coff[nbr + 1] - coff[nbr]
+        for b0, b1 in _budget_ranges(slot_classes + 1, _ENTRY_BUDGET):
+            v, x, nclass = nbr[b0:b1], owner[b0:b1], slot_classes[b0:b1]
+            cls = grouped_arange(coff[v], nclass)[0]
             slot_base = base[x - s] + deg[v]
             idx_parts += [np.repeat(slot_base, nclass) + cdeg[cls], slot_base + deg[x]]
             w_parts += [ccnt[cls], np.full(v.size, -1.0)]
@@ -279,7 +286,7 @@ def _triangle_partner_sums(g: Graph, deg, owner, nbr, span: int):
     # of at most fdeg(fu[j]) - 1; np.empty pages are committed only as
     # written, so this 3 * wedges bound costs address space, not memory
     w = _KEY_LIMIT // span  # members per bucket
-    nbuckets = (n - 1) // w + 1
+    nbuckets = -(-n // w) or 1  # one bucket even at n = 0
     share = np.bincount(fv // w, weights=np.diff(foff)[fu] - 1, minlength=nbuckets)
     share += np.bincount(fu // w, weights=later, minlength=nbuckets)  # exact below 2^53
     region = np.zeros(nbuckets + 1, dtype=np.int64)
@@ -357,7 +364,7 @@ def _in_table(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 def _log_table(deg: np.ndarray) -> np.ndarray:
     """log(d) for every cluster degree d in 0..3 * max(deg); d = 0 carries no mass and maps to 0."""
-    return np.log(np.arange(3 * int(deg.max()) + 1, dtype=np.float64).clip(1))
+    return np.log(np.arange(3 * int(deg.max(initial=0)) + 1, dtype=np.float64).clip(1))
 
 
 def _scores_from_histograms(n, nodes, degs, counts, log_table):
@@ -380,15 +387,6 @@ def _scores_from_histograms(n, nodes, degs, counts, log_table):
     return efv, mass.astype(np.int64), flags
 
 
-def _empty_result() -> EFResult:
-    return EFResult(
-        ef=np.zeros(0),
-        cluster_total=np.zeros(0, np.int64),
-        flags=np.zeros(0, np.uint8),
-        clusters_processed=0,
-    )
-
-
 # ----------------------------------------------------------------------
 # vertex-centric baseline
 # ----------------------------------------------------------------------
@@ -406,9 +404,6 @@ def ef_vertex_centric(g: Graph, workers: int = 1) -> EFResult:
     forked processes, handed out one at a time to absorb the skewed
     per-node load.
     """
-    if g.n == 0:
-        return _empty_result()
-
     deg = g.degrees().tolist()
     adj = [g.adjacency(u).tolist() for u in range(g.n)]
 

@@ -232,8 +232,12 @@ def build_graph(edges) -> Graph:
     left without any edge are removed, and the survivors are densely
     relabeled in ascending original-id order, then enter the CSR step that
     generate_rmat ends in too. Degenerate input yields the empty graph.
+    Ids must be nonnegative, the domain load_edge_list reads; a negative id
+    raises ValueError.
     """
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if arr.min(initial=0) < 0:
+        raise ValueError(f"negative node id {arr.min()}; node ids must be >= 0")
     arr = arr[arr[:, 0] != arr[:, 1]]
     orig_ids = _sorted_unique(arr.ravel())
     lo = np.searchsorted(orig_ids, np.minimum(arr[:, 0], arr[:, 1]))

@@ -154,6 +154,20 @@ class TestHistogramInvariants:
         assert res.cluster_total[0] == 1 and res.ef[0] == 0.0
 
 
+class TestEmptyGraph:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("edges", [[], [(3, 3)]], ids=["no-edges", "self-loop-only"])
+    @pytest.mark.parametrize("algorithm", [ef_cluster_centric, ef_vertex_centric], ids=["cluster", "vertex"])
+    def test_zero_length_results(self, algorithm, edges, workers):
+        g = build_graph(edges)
+        assert g.n == 0
+        res = algorithm(g, workers=workers)
+        for got, dtype in ((res.ef, np.float64), (res.cluster_total, np.int64), (res.flags, np.uint8)):
+            assert got.dtype == dtype and got.shape == (0,)
+        assert res.clusters_processed == 0
+
+
 class TestProcessedCounts:
     def test_cluster_mode_counts_each_triplet_once(self, small_test_graphs):
         for g in small_test_graphs:
@@ -297,7 +311,8 @@ class TestBucketedKeys:
         kernel = ef_module._DegreeClassKernel(g)
         assert _partner_sum_counts(g.n, kernel.tri_t, kernel.tri_off) == _brute_partner_sum_counts(g)
         classes = [sorted(Counter(deg[g.adjacency(x)].tolist()).items()) for x in range(g.n)]
-        assert list(zip(kernel.cnode.tolist(), kernel.cdeg.tolist(), kernel.ccnt.tolist())) == [
+        cnode = np.repeat(np.arange(g.n), np.diff(kernel.coff))
+        assert list(zip(cnode.tolist(), kernel.cdeg.tolist(), kernel.ccnt.tolist())) == [
             (x, d, float(c)) for x, cls in enumerate(classes) for d, c in cls
         ]
 
@@ -335,6 +350,23 @@ class TestMemoryBound:
         # two, 23.2 MB with one int32 list per member. The bound sits 9 MB
         # below the first.
         assert peak < 38e6
+
+    def test_kernel_holds_only_what_chunks_read(self):
+        g, _ = generate_rmat(RmatParams(scale=13, avg_degree=16, seed=1))
+        tracemalloc.start()
+        try:
+            kernel = ef_module._DegreeClassKernel(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in vars(kernel).values() if isinstance(a, np.ndarray))
+        # Measured on this graph, kernel held / set-up peak: 10.43 / 22.09 MiB
+        # when the kernel kept graph-sized slot owners, class owners, class
+        # ends and slot costs and built its classes before listing triangles;
+        # 7.56 / 19.26 MiB with chunks rebuilding their slices and triangles
+        # listed first.
+        assert held < 9 * 2**20
+        assert peak < 21 * 2**20
 
     def test_setup_keeps_ids_and_keys_in_32_bits(self):
         g, _ = generate_rmat(RmatParams(scale=13, avg_degree=16, seed=1))

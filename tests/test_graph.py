@@ -155,6 +155,12 @@ class TestBuildGraph:
             for v, o in enumerate(g.orig_ids.tolist()):
                 assert g.orig_ids[g.adjacency(v)].tolist() == sorted(adj[o])
 
+    @pytest.mark.parametrize("edges", [[(-15, 2), (2, 7)], [(0, 1), (-1, -1)]], ids=["edge", "self-loop"])
+    def test_negative_id_rejected(self, edges):
+        # write_edge_list and write_ef_csv assume ids >= 0, as load_edge_list enforces
+        with pytest.raises(ValueError, match="negative node id"):
+            build_graph(edges)
+
     def test_isolated_nodes_absent(self):
         # node 7 appears only in a self-loop: dropped entirely
         g = build_graph([(0, 1), (7, 7)])
