@@ -40,7 +40,8 @@ _WRITE_ROWS = 1 << 16  # edges formatted per write, bounding the text held at on
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10^18: a k-digit id passes k - 1 of them
 _RMAT_ROWS = 1 << 16  # R-MAT draws per block of uniforms (7 MB at scale 14); a smaller block leaves glibc's
 # mmap threshold lower, which slows a later EF call in the same process (the c05 acceptance gate)
-_RMAT_BYTES_PER_EDGE = 256  # a `generate` process peaks at ~180 B per target edge at s16 d16, ~116 at s18, ~98 at s20
+_RMAT_BYTES_PER_EDGE = 128  # a `generate` process peaks at ~99 B per target edge at s18 d16, ~74 at s19, ~66 at s20,
+# ~62 at s21 and ~61 at s22; below s18 the process's fixed ~60 MB dominates
 
 
 @dataclass
@@ -250,13 +251,13 @@ def _csr(orig_ids: np.ndarray, codes: np.ndarray) -> Graph:
     n = int(orig_ids.size)
     if n >= _MAX_NODES:
         raise ValueError(f"graph too large: {n} nodes exceeds int32 id space")
-    # both directions as src * n + dst keys; one sort orders the CSR rows
+    # both directions as src * n + dst keys; one sort orders the CSR rows, row v starts at
+    # the first key >= v * n, and each key's dst is read in place: no row-id array is formed
     keys = np.concatenate([codes, codes % n * n + codes // n])
     keys.sort()
-    src, dst = np.divmod(keys, n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return Graph(n=n, m=int(codes.size), offsets=offsets, neighbors=dst.astype(np.int32), orig_ids=orig_ids)
+    offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    keys %= n
+    return Graph(n=n, m=int(codes.size), offsets=offsets, neighbors=keys.astype(np.int32), orig_ids=orig_ids)
 
 
 def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:

@@ -84,6 +84,10 @@ class TestEfBins:
         for i, b in enumerate(bins):
             assert b.target_ef == lo + i * (hi - lo) / 9
 
+    def test_zero_bins_refused(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            ef_bins(_ef_result([0.0, 1.0]), k=0)
+
     def test_too_few_distinct(self):
         with pytest.raises(ValueError, match="distinct"):
             ef_bins(_ef_result([1.0, 1.0, 2.0]), k=3)
@@ -243,6 +247,11 @@ class TestImmunization:
         g = build_graph(star_edges(3))
         with pytest.raises(ValueError, match="window"):
             immunization_experiment(g, SirParams(0.5, 0.5, 10), ef_cluster_centric(g), frac=0.99)
+
+    def test_zero_scenarios_refused(self):
+        g = build_graph(star_edges(5))
+        with pytest.raises(ValueError, match="scenarios must be >= 1"):
+            immunization_experiment(g, SirParams(0.5, 0.5, 10), ef_cluster_centric(g), scenarios=0)
 
     def test_bad_frac(self):
         g = build_graph(star_edges(5))

@@ -34,6 +34,12 @@ def _star_pagerank_fixed_point(leaves: int, damping: Fraction) -> tuple[float, f
     return float(center), float(leaf)
 
 
+@pytest.mark.parametrize("metric", [pagerank, betweenness], ids=["pagerank", "betweenness"])
+def test_empty_graph_gives_empty_scores(metric):
+    scores = metric(build_graph([]))
+    assert scores.values.dtype == np.float64 and scores.values.size == 0
+
+
 class TestPagerank:
     def test_cycle_uniform(self):
         g = build_graph(cycle_edges(5))

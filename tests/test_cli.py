@@ -626,6 +626,14 @@ class TestBench:
         assert flag in manifest["error"]
         assert not out.exists()
 
+    def test_unknown_mode_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # refused while parsing, so before a manifest exists
+        monkeypatch.setattr(cli, "generate_rmat", lambda params: pytest.fail("graph generated"))
+        out = tmp_path / "bench.csv"
+        assert _run("bench", "--scale", 6, "--repeats", 1, "--modes", "cluster,foo", "--output", out) == 2
+        assert "unknown mode 'foo'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_is_usage_error_even_when_seed_plus_degree_is_not(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "generate_rmat", lambda params: pytest.fail("graph generated"))
         out = tmp_path / "bench.csv"

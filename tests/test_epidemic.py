@@ -78,6 +78,10 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="calibration"):
             calibrate(g, r0=1.3, recovery_days=1)
 
+    def test_empty_graph_refused(self):
+        with pytest.raises(ValueError, match="cannot calibrate on a graph with no edges"):
+            calibrate(build_graph([]))
+
     def test_bad_args(self):
         g = build_graph(complete_edges(4))
         with pytest.raises(ValueError):
@@ -180,6 +184,13 @@ class TestRunSir:
 
 
 class TestReplicates:
+    def test_no_reps_or_empty_graph_refused(self):
+        p = SirParams(0.5, 0.5, 10)
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            run_replicates(build_graph(star_edges(4)), p, 0, base_seed=1)
+        with pytest.raises(ValueError, match="cannot simulate on an empty graph"):
+            run_replicates(build_graph([]), p, 5, base_seed=1)
+
     def test_worker_count_invariant(self):
         g = build_graph(er_edges(40, 0.12, 4))
         p = calibrate(g)
