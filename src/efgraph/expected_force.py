@@ -398,7 +398,7 @@ def ef_vertex_centric(g: Graph, workers: int = 1) -> EFResult:
     coincide setwise with a star. Each node builds its own histogram, so
     shared clusters are re-evaluated once per member. Blocks of 64 nodes
     are scored where they run, by the shared score loop on up to `workers`
-    forked processes, handed out in runs of at most 8 to absorb the skewed
+    forked processes, handed out one at a time to absorb the skewed
     per-node load.
     """
     deg = g.degrees().tolist()

@@ -21,11 +21,8 @@ def parallel_map(fn, tasks, workers: int):
     workers below 1 raises ValueError when the map starts. Below two
     processes, or without fork, the tasks run serially in this process. A
     task's exception reaches the caller; a dead worker raises
-    BrokenProcessPool. Tasks go to the pool in runs of up to 8
-    (len(tasks) // (8 * processes), at least 1), so many small tasks pay
-    one hand-off per run. Results are yielded in order as they arrive, a
-    run's results together, so a caller that folds them holds only the
-    ones not yet folded.
+    BrokenProcessPool. Results are yielded in order as they arrive, so a
+    caller that folds them holds only the ones not yet folded.
     """
     global _JOB
     if workers < 1:
@@ -41,7 +38,7 @@ def parallel_map(fn, tasks, workers: int):
     _JOB = (fn, tasks)
     try:
         with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork")) as pool:
-            yield from pool.map(_run, range(len(tasks)), chunksize=max(1, min(8, len(tasks) // (8 * procs))))
+            yield from pool.map(_run, range(len(tasks)))
     finally:
         _JOB = None
 

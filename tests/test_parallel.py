@@ -17,10 +17,9 @@ multicore = pytest.mark.skipif(usable_cores() < 2, reason="needs two usable core
 
 
 class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and map chunksizes, runs tasks in this process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs tasks in this process."""
 
     calls: list = []
-    chunksizes: list = []
 
     def __init__(self, max_workers, mp_context=None):
         self.calls.append(max_workers)
@@ -31,8 +30,7 @@ class _RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        self.chunksizes.append(chunksize)
+    def map(self, fn, items):
         return map(fn, items)
 
 
@@ -43,15 +41,6 @@ def test_processes_capped_at_tasks_and_cores(monkeypatch, cores, expected):
     monkeypatch.setattr(_RecordingExecutor, "calls", [])
     assert list(parallel_map(lambda t: t * t, [1, 2, 3], 64)) == [1, 4, 9]
     assert _RecordingExecutor.calls == ([] if expected is None else [expected])
-
-
-@pytest.mark.parametrize("tasks, chunksize", [(1000, 8), (17, 1), (40, 2)])
-def test_tasks_reach_the_pool_in_bounded_runs(monkeypatch, tasks, chunksize):
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(_RecordingExecutor, "chunksizes", [])
-    assert list(parallel_map(lambda t: 3 * t, range(tasks), 2)) == [3 * t for t in range(tasks)]
-    assert _RecordingExecutor.chunksizes == [chunksize]
 
 
 @pytest.mark.parametrize("call", [
