@@ -25,7 +25,6 @@ from .epidemic import (
     run_replicates,
     run_scenarios,
     run_sir,
-    spreading_power,
     time_to_peak,
 )
 from .centrality import (

@@ -141,7 +141,7 @@ def spreading_sums(runs, n: int, threshold: float = GLOBAL_THRESHOLD) -> Spreadi
     """The correlation experiment's reduction of a list of runs (depths 1..4), taken where their block runs."""
     global_runs = [o for o in runs if is_global_outbreak(o, threshold)]
     dtype = np.int32 if len(global_runs) * n < 2**31 else np.int64  # a run adds below n to each sum
-    return SpreadingSums(descendant_sums(global_runs, n)[0].astype(dtype), len(global_runs), len(runs), threshold)
+    return SpreadingSums(descendant_sums(global_runs, n).astype(dtype), len(global_runs), len(runs), threshold)
 
 
 def merge_sums(parts) -> SpreadingSums:

@@ -6,7 +6,8 @@ centrality (baseline metrics), simulate (SIR replicate batches), analyze
 a JSON manifest next to its output (flags, graph fingerprint, per-phase
 timings, worker count, usable cores), enough to re-run it byte-identically;
 data outputs are deterministic for a fixed seed. The manifest is written
-even when the command fails, with the error recorded.
+even when the command fails, with the error recorded; only a command line
+that argparse refuses while parsing exits 2 with no manifest.
 
 Exit codes: 0 success, 1 I/O or data error, 2 usage error.
 """
@@ -45,7 +46,7 @@ from .centrality import (
     write_scores_csv,
 )
 from .epidemic import GLOBAL_THRESHOLD, SirParams, calibrate, outcome_record, run_replicates, run_scenarios, step_cap
-from .expected_force import ef as compute_ef, write_ef_csv
+from .expected_force import MODES as EF_MODES, ef as compute_ef, write_ef_csv
 from .graph import (
     DEFAULT_RMAT_PROBS,
     Graph,
@@ -57,7 +58,6 @@ from .graph import (
 )
 from .parallel import usable_cores
 
-_MODE_NAMES = {"cluster": "cluster_centric", "vertex": "vertex_centric"}
 _WORKERS_HELP = "worker processes, at most the usable cores (default: $EFGRAPH_WORKERS, else 1)"
 _DOMAINS = {  # flag -> (test, rule); NaN fails every comparison, so every test
     "threshold": (lambda v: 0.0 <= v <= 1.0, "be in [0, 1]"),
@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ef", help="compute Expected Force scores")
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=sorted(_MODE_NAMES), default="cluster")
+    p.add_argument("--mode", choices=sorted(EF_MODES), default="cluster")
     p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_ef, command="ef")
@@ -240,7 +240,7 @@ def _int_list(text: str) -> list[int]:
 def _mode_list(text: str) -> list[str]:
     modes = [t.strip() for t in text.split(",") if t.strip()]
     for t in modes:
-        if t not in _MODE_NAMES:
+        if t not in EF_MODES:
             raise argparse.ArgumentTypeError(f"unknown mode {t!r}")
     return modes
 
@@ -310,7 +310,7 @@ def cmd_generate(args, manifest) -> None:
 def cmd_ef(args, manifest) -> None:
     g = _load_graph(args.input, manifest)
     with _phase(manifest, "compute"):
-        result = compute_ef(g, mode=_MODE_NAMES[args.mode], workers=args.workers)
+        result = compute_ef(g, mode=args.mode, workers=args.workers)
     elapsed = manifest["timings_ms"]["compute"]
     manifest["time_to_solution_ms"] = elapsed
     manifest["clusters_processed"] = result.clusters_processed
@@ -436,7 +436,7 @@ def cmd_bench(args, manifest) -> None:
         times = []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
-            result = compute_ef(g, mode=_MODE_NAMES[mode], workers=workers)
+            result = compute_ef(g, mode=mode, workers=workers)
             times.append(_ms_since(t0))
         med = statistics.median(times)
         rows.append(f"{mode},{args.scale},{degree},{workers},{med:.3f},{result.clusters_processed / med:.3f}\n")

@@ -47,7 +47,6 @@ __all__ = [
     "run_replicates",
     "run_scenarios",
     "descendant_sums",
-    "spreading_power",
     "is_global_outbreak",
     "time_to_peak",
     "outcome_record",
@@ -120,8 +119,8 @@ def calibrate(g: Graph, r0: float = 1.3, recovery_days: float = 3.0) -> SirParam
     linearized calibration under which the index case directly infects r0
     neighbors in expectation on a mean-degree-<k> network.
     """
-    if r0 <= 0 or recovery_days <= 0:
-        raise ValueError("r0 and recovery_days must be positive")
+    if not (r0 > 0 and recovery_days > 0):  # NaN fails both comparisons
+        raise ValueError(f"r0 and recovery_days must be positive, got r0={r0}, recovery_days={recovery_days}")
     k = g.avg_degree()
     if k <= 0:
         raise ValueError("cannot calibrate on a graph with no edges")
@@ -313,18 +312,17 @@ def _random_index(n: int, immunized: frozenset, seed: int) -> int:
             return cand
 
 
-def descendant_sums(outcomes, n: int, max_depth: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node forest descendants within depth 1..max_depth summed over the outcomes, and infection counts.
+def descendant_sums(outcomes, n: int, max_depth: int = 4) -> np.ndarray:
+    """Per-node forest descendants within depth 1..max_depth, summed over the outcomes.
 
     Row d-1 of the (max_depth, n) sums holds, per node id, the number of
     forest nodes at most d generations below it (0 where it was never
     infected), added in outcome order. Each depth of an outcome is one
     bincount over its forest edges: D_d[p] = sum over children c of
-    1 + D_{d-1}[c]. The sums are integers, so they are exact. The second
-    result holds per node the number of outcomes in which it was infected.
+    1 + D_{d-1}[c]. The sums are integers, so they are exact; divided by the
+    number of outcomes they are each node's mean spreading power of order d.
     """
     sums = np.zeros((max_depth, n))
-    infected = np.zeros(n, dtype=np.int64)
     for o in outcomes:
         tree = o.parents >= 0
         child, parent = o.nodes[tree], o.parents[tree]
@@ -332,30 +330,7 @@ def descendant_sums(outcomes, n: int, max_depth: int = 4) -> tuple[np.ndarray, n
         for d in range(max_depth):
             below = np.bincount(parent, weights=1.0 + below[child], minlength=n)
             sums[d] += below
-        infected[o.nodes] += 1
-    return sums, infected
-
-
-def spreading_power(outcomes, v: int, order: int, conditional: bool = False) -> float:
-    """Average number of forest descendants of v within the given depth.
-
-    Outcomes where v was never infected contribute 0 and stay in the
-    denominator; pass conditional=True to average only over outcomes where
-    v was infected. `descendant_sums` gives every node's sums in one pass.
-    """
-    if order not in (1, 2, 3, 4):
-        raise ValueError("order must be in 1..4")
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise ValueError("need at least one outcome")
-    n = outcomes[0].n
-    if not 0 <= v < n:
-        raise ValueError(f"node id {v} out of range [0, {n})")
-    sums, infected = descendant_sums(outcomes, n, order)
-    total = float(sums[order - 1, v])
-    if conditional:
-        return total / int(infected[v]) if infected[v] else 0.0
-    return total / len(outcomes)
+    return sums
 
 
 def is_global_outbreak(o: SimOutcome, threshold: float = GLOBAL_THRESHOLD) -> bool:

@@ -6,30 +6,30 @@ The Expected Force of a node is the entropy of the degree distribution over
 all of its clusters, where star-shaped clusters (both edges incident to the
 root) count twice for their root, once per transmission order.
 
-Two interchangeable algorithms are provided:
+Two interchangeable algorithms are provided, chosen by name in `ef`:
 
-* cluster_centric: a degree-class kernel. A cluster's degree depends only
-  on its members' degrees and on whether it closes a triangle, so each
-  node's histogram is assembled from counts of its neighbors' degrees
-  (middle credits), its neighbors' neighbor-degree counts (wing credits,
-  equal-degree wings credited in one batch) and a correction for each
-  triangle it belongs to, listed once by the degree-ordered forward
+* cluster (`ef_cluster_centric`): a degree-class kernel. A cluster's degree
+  depends only on its members' degrees and on whether it closes a triangle,
+  so each node's histogram is assembled from counts of its neighbors'
+  degrees (middle credits), its neighbors' neighbor-degree counts (wing
+  credits, equal-degree wings credited in one batch) and a correction for
+  each triangle it belongs to, listed once by the degree-ordered forward
   algorithm with a linear-probing hash table as the edge test. A triangle
   is kept as its members' int32 partner degree sums, one list per member,
-  sorted per bucket. The set-up is 32-bit: node ids are int32, products
-  are formed in int64, and the members' keys are int32 local keys in
+  sorted per bucket. The set-up is 32-bit: node ids are int32, products are
+  formed in int64, and the members' keys are int32 local keys in
   member-range buckets, each sorted on its own. Every cluster is still
   credited exactly once to each of its three members. Triangles are listed
-  before the degree classes are built, so the listing's peak holds no
-  class array. Nodes are processed in owner chunks whose dense histogram
-  bins are bounded by a fixed budget; the kernel keeps per-node and
-  per-class arrays plus the triangle lists, and each chunk rebuilds the
-  slot and class indexes it reads (slot owners, class ends, per-slot class
-  counts) from the class offsets, reads its nonzero bins straight into the
-  entropy pass as (node, degree, count) rows and drops them.
-* vertex_centric: the original per-node formulation. Each node
-  independently walks its own star pairs and 2-hop chains, rebuilding every
-  shared cluster once per member. Kept as the reference baseline.
+  before the degree classes are built, so the listing's peak holds no class
+  array. Nodes are processed in owner chunks whose dense histogram bins are
+  bounded by a fixed budget; the kernel keeps per-node and per-class arrays
+  plus the triangle lists, and each chunk rebuilds the slot and class
+  indexes it reads (slot owners, class ends, per-slot class counts) from
+  the class offsets, reads its nonzero bins straight into the entropy pass
+  as (node, degree, count) rows and drops them.
+* vertex (`ef_vertex_centric`): the original per-node formulation. Each
+  node independently walks its own star pairs and 2-hop chains, rebuilding
+  every shared cluster once per member. Kept as the reference baseline.
 
 Both produce identical integer histograms, and the entropy pass and the
 score loop are shared, so their outputs are bitwise equal. The score loop
@@ -55,6 +55,7 @@ __all__ = [
     "FLAG_ZERO_DEGREE_CLUSTERS",
     "ef_cluster_centric",
     "ef_vertex_centric",
+    "MODES",
     "ef",
     "write_ef_csv",
 ]
@@ -78,9 +79,9 @@ class EFResult:
         cluster_total: int64 histogram mass per node
             (2*C(deg(v),2) + sum of (deg(i)-1) over neighbors i)
         flags: uint8 per node, one of the FLAG_* constants
-        clusters_processed: clusters covered by the run; for
-            cluster_centric this is the number of distinct clusters,
-            cluster_count = sum of C(deg(v), 2), for vertex_centric
+        clusters_processed: clusters covered by the run; for the
+            cluster mode this is the number of distinct clusters,
+            cluster_count = sum of C(deg(v), 2), for the vertex mode
             3 * cluster_count, as each cluster is built once per member
     """
 
@@ -88,15 +89,6 @@ class EFResult:
     cluster_total: np.ndarray
     flags: np.ndarray
     clusters_processed: int
-
-
-def ef(g: Graph, mode: str = "cluster_centric", workers: int = 1) -> EFResult:
-    """Dispatch to one of the two Expected Force algorithms."""
-    if mode == "cluster_centric":
-        return ef_cluster_centric(g, workers=workers)
-    if mode == "vertex_centric":
-        return ef_vertex_centric(g, workers=workers)
-    raise ValueError(f"unknown mode {mode!r}; expected cluster_centric or vertex_centric")
 
 
 def write_ef_csv(g: Graph, result: EFResult, stream) -> None:
@@ -440,3 +432,13 @@ def ef_vertex_centric(g: Graph, workers: int = 1) -> EFResult:
 
     blocks = [(s, min(s + 64, g.n)) for s in range(0, g.n, 64)]
     return _score_ranges(g.n, blocks, scores, workers, 3 * cluster_count(g))
+
+
+MODES = {"cluster": ef_cluster_centric, "vertex": ef_vertex_centric}  # the mode names `ef` and the CLI take
+
+
+def ef(g: Graph, mode: str = "cluster", workers: int = 1) -> EFResult:
+    """Expected Force by the algorithm MODES[mode]; the two give bitwise equal scores."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+    return MODES[mode](g, workers=workers)

@@ -64,21 +64,14 @@ class Graph:
     neighbors: np.ndarray
     orig_ids: np.ndarray
 
-    def _check_id(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"node id {v} out of range [0, {self.n})")
-
-    def degree(self, v: int) -> int:
-        self._check_id(v)
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     def degrees(self) -> np.ndarray:
         """Per-node degree array (int64)."""
         return np.diff(self.offsets)
 
     def adjacency(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of v (read-only view)."""
-        self._check_id(v)
+        if not 0 <= v < self.n:
+            raise ValueError(f"node id {v} out of range [0, {self.n})")
         return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
 
     def expand(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,18 +81,6 @@ class Graph:
         starts = self.offsets.take(node)
         counts = self.offsets.take(node + 1) - starts
         return self.neighbors.take(grouped_arange(starts, counts)[0]) + np.repeat(keys - node, counts), counts
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Membership test via binary search on the lower-degree endpoint."""
-        self._check_id(u)
-        self._check_id(v)
-        if u == v:
-            return False
-        if self.degree(u) > self.degree(v):
-            u, v = v, u
-        adj = self.adjacency(u)
-        pos = int(np.searchsorted(adj, v))
-        return pos < adj.size and int(adj[pos]) == v
 
     def avg_degree(self) -> float:
         if self.n == 0:

@@ -104,7 +104,7 @@ class TestCorrelationReport:
         g, efres, runs = self._setup()
         from efgraph.epidemic import descendant_sums, is_global_outbreak
         global_runs = [o for o in runs if is_global_outbreak(o)]
-        sums, _ = descendant_sums(global_runs, g.n)
+        sums = descendant_sums(global_runs, g.n)
         self_metric = CentralityScores(metric="self", values=sums[1] / len(global_runs))
         report = correlation_report(g, efres, [self_metric], spreading_sums(runs, g.n), min_global=1)
         row = next(r for r in report.rows if r["metric"] == "self" and r["order"] == 2)

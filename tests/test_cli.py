@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -340,6 +342,15 @@ def test_bad_recovery_days_is_a_data_error(tmp_path, capsys, days):
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     assert manifest["error_type"] == "ValueError" and "recovery_days" in manifest["error"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_nan_r0_is_refused_by_name(tmp_path, capsys):
+    inp = tmp_path / "star.txt"
+    _write_star(inp)
+    assert _run("simulate", "--input", inp, "--r0", "nan", "--output", tmp_path / "out") == 1
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["error_type"] == "ValueError" and "r0=nan" in manifest["error"]
+    assert "beta" not in manifest["error"] and "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
@@ -731,3 +742,23 @@ class TestTopLevel:
         assert manifest["error_type"] == "usage"
         assert argv[-2] in manifest["error"]
         assert not out.exists()
+
+    def test_runs_on_numpy_alone(self, tmp_path):
+        # pyproject.toml declares only numpy; scipy and networkx are test-only oracles
+        script = f"""
+import sys
+from efgraph.cli import main
+g, out = {str(tmp_path / "g.txt")!r}, {str(tmp_path)!r}
+assert main(["generate", "--scale", "12", "--avg-degree", "4", "--output", g]) == 0
+assert main(["ef", "--input", g, "--output", out + "/ef.csv"]) == 0
+assert main(["analyze", "--input", g, "--kind", "correlation", "--reps", "200", "--min-global", "1",
+             "--workers", "2", "--output", out + "/cor"]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "networkx")))
+"""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        # -X importtime logs every import to stderr, the forked workers' too
+        done = subprocess.run([sys.executable, "-X", "importtime", "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "[]"
+        assert not [line for line in done.stderr.splitlines() if "scipy" in line or "networkx" in line]

@@ -14,8 +14,8 @@ from efgraph.epidemic import (
     outcome_record,
     run_replicates,
     run_scenarios,
+    descendant_sums,
     run_sir,
-    spreading_power,
     time_to_peak,
 )
 from efgraph.graph import RmatParams, build_graph, generate_rmat
@@ -84,10 +84,9 @@ class TestCalibrate:
 
     def test_bad_args(self):
         g = build_graph(complete_edges(4))
-        with pytest.raises(ValueError):
-            calibrate(g, r0=0)
-        with pytest.raises(ValueError):
-            calibrate(g, recovery_days=0)
+        for bad in ({"r0": 0}, {"recovery_days": 0}, {"r0": float("nan")}, {"recovery_days": float("nan")}):
+            with pytest.raises(ValueError, match="r0 and recovery_days must be positive"):
+                calibrate(g, **bad)
 
 
 class TestRunSir:
@@ -389,32 +388,34 @@ class TestScenarios:
 
 
 class TestSpreadingPower:
+    """Mean spreading power of order d is descendant_sums(outcomes, n)[d - 1, v] / len(outcomes)."""
+
     def test_hand_forest(self):
         parent = {9: None, 4: 9, 5: 9, 6: 4}
         steps = {9: 0, 4: 1, 5: 1, 6: 2}
-        o = _forest_outcome(parent, steps)
-        assert spreading_power([o], 9, 1) == 2.0
-        assert spreading_power([o], 9, 2) == 3.0
-        assert spreading_power([o], 9, 3) == 3.0
-        assert spreading_power([o], 4, 1) == 1.0
+        sums = descendant_sums([_forest_outcome(parent, steps)], 10)
+        assert sums.shape == (4, 10)
+        assert sums[0, 9] == 2.0
+        assert sums[1, 9] == 3.0
+        assert sums[2, 9] == 3.0
+        assert sums[0, 4] == 1.0
 
     def test_never_infected_is_zero(self):
         o = _forest_outcome({1: None}, {1: 0})
-        assert spreading_power([o], 7, 2) == 0.0
-        assert spreading_power([o], 7, 2, conditional=True) == 0.0
+        assert descendant_sums([o], 10)[1, 7] == 0.0
 
-    def test_averaging_and_conditional(self):
+    def test_averaging_over_outcomes(self):
         a = _forest_outcome({0: None, 1: 0}, {0: 0, 1: 1})
-        b = _forest_outcome({2: None}, {2: 0})
-        assert spreading_power([a, b], 0, 1) == 0.5
-        assert spreading_power([a, b], 0, 1, conditional=True) == 1.0
+        b = _forest_outcome({2: None}, {2: 0})  # node 0 never infected: counts 0, stays in the denominator
+        assert descendant_sums([a, b], 10)[0, 0] / 2 == 0.5
 
     def test_monotone_in_order(self):
         g = build_graph(er_edges(50, 0.12, 8))
         p = calibrate(g)
         runs = run_replicates(g, p, 30, base_seed=17)
+        power = descendant_sums(runs, g.n) / len(runs)
         for v in range(0, g.n, 7):
-            values = [spreading_power(runs, v, d) for d in (1, 2, 3, 4)]
+            values = power[:, v].tolist()
             assert values == sorted(values)
 
     def test_deep_chains_match_dict_walk(self):
@@ -441,25 +442,14 @@ class TestSpreadingPower:
             _forest_outcome(parent, {node: generation(parent, node) for node in parent}, n=20)
             for parent in forests
         ]
+        alone = [descendant_sums([o], 20) for o in outcomes]
+        together = descendant_sums(outcomes, 20)
         for v in range(20):
             for order in (1, 2, 3, 4):
                 counts = [walk(parent, v, order) for parent in forests]
-                for o, count in zip(outcomes, counts):
-                    assert spreading_power([o], v, order) == count
-                assert spreading_power(outcomes, v, order) == sum(counts) / 2
-
-    def test_errors(self):
-        o = _forest_outcome({0: None}, {0: 0})
-        with pytest.raises(ValueError):
-            spreading_power([], 0, 1)
-        with pytest.raises(ValueError):
-            spreading_power([o], 0, 5)
-
-    @pytest.mark.parametrize("v", [-1, 10])
-    def test_rejects_node_out_of_range(self, v):
-        o = _forest_outcome({0: None, 9: 0}, {0: 0, 9: 1})  # n = 10, so -1 would read node 9's sums
-        with pytest.raises(ValueError, match="out of range"):
-            spreading_power([o], v, 1)
+                for sums, count in zip(alone, counts):
+                    assert sums[order - 1, v] == count
+                assert together[order - 1, v] / len(outcomes) == sum(counts) / 2
 
 
 class TestOutbreakStats:

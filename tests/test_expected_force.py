@@ -76,7 +76,7 @@ class TestClosedForms:
     def test_triangle_all_zero(self):
         edges = [(0, 1), (1, 2), (0, 2)]
         g = build_graph(edges)
-        for mode in ("cluster_centric", "vertex_centric"):
+        for mode in ("cluster", "vertex"):
             assert np.all(ef(g, mode=mode).ef == 0.0)
 
 
@@ -95,9 +95,11 @@ class TestModeEquivalence:
 
     def test_dispatch(self):
         g = build_graph(path_edges(4))
-        assert np.array_equal(ef(g, mode="cluster_centric").ef, ef(g, mode="vertex_centric").ef)
+        assert np.array_equal(ef(g, mode="cluster").ef, ef(g, mode="vertex").ef)
         with pytest.raises(ValueError):
             ef(g, mode="edge_centric")
+        with pytest.raises(ValueError, match="unknown mode"):
+            ef(g, mode="cluster_centric")
 
 
 class TestDeterminism:
