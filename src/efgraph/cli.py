@@ -45,7 +45,7 @@ from .centrality import (
     pagerank,
     write_scores_csv,
 )
-from .epidemic import GLOBAL_THRESHOLD, SirParams, calibrate, outcome_record, run_replicates, run_scenarios, step_cap
+from .epidemic import GLOBAL_THRESHOLD, SirParams, calibrate, outcome_record, run_replicates, step_cap
 from .expected_force import MODES as EF_MODES, ef as compute_ef, write_ef_csv
 from .graph import (
     DEFAULT_RMAT_PROBS,
@@ -147,23 +147,34 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"efgraph {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("generate", help="generate an R-MAT edge-list file")
+    graph_flags = argparse.ArgumentParser(add_help=False)
+    graph_flags.add_argument("--input", required=True)
+    graph_flags.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
+    sir_flags = argparse.ArgumentParser(add_help=False)
+    sir_flags.add_argument("--seed", type=int, default=0)
+    sir_flags.add_argument("--r0", type=float, default=1.3)
+    sir_flags.add_argument("--recovery-days", type=float, default=3.0)
+    sir_flags.add_argument("--beta", type=float, default=None, help="override calibrated beta")
+    sir_flags.add_argument("--mu", type=float, default=None, help="override calibrated mu")
+    sir_flags.add_argument("--max-steps", type=int, default=None)
+    sir_flags.add_argument("--threshold", type=float, default=GLOBAL_THRESHOLD)
+
+    def command(name, func, summary, *parents, output_help=None) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.add_argument("--output", required=True, help=output_help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", cmd_generate, "generate an R-MAT edge-list file")
     p.add_argument("--scale", type=int, required=True)
     p.add_argument("--avg-degree", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probs", type=_probs, default=None, help="a,b,c,d quadrant probabilities")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_generate, command="generate")
 
-    p = sub.add_parser("ef", help="compute Expected Force scores")
-    p.add_argument("--input", required=True)
+    p = command("ef", cmd_ef, "compute Expected Force scores", graph_flags)
     p.add_argument("--mode", choices=sorted(EF_MODES), default="cluster")
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_ef, command="ef")
 
-    p = sub.add_parser("centrality", help="compute a baseline centrality")
-    p.add_argument("--input", required=True)
+    p = command("centrality", cmd_centrality, "compute a baseline centrality", graph_flags)
     p.add_argument("--metric", choices=["degree", "pagerank", "betweenness"], required=True)
     p.add_argument("--damping", type=float, default=0.85)
     p.add_argument("--tol", type=float, default=1e-8)
@@ -171,24 +182,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=BETWEENNESS_COST_BUDGET,
                    help="refuse betweenness when n*m exceeds this without --force")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_centrality, command="centrality")
 
-    p = sub.add_parser("simulate", help="run SIR replicates, one NDJSON record each")
-    p.add_argument("--input", required=True)
+    p = command("simulate", cmd_simulate, "run SIR replicates, one NDJSON record each", graph_flags, sir_flags)
     p.add_argument("--index", type=int, default=None, help="index case (original id); random if omitted")
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    _add_sir_flags(p)
-    p.add_argument("--threshold", type=float, default=GLOBAL_THRESHOLD)
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--forest-output", default=None, help="also dump parent pairs as CSV")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_simulate, command="simulate")
 
-    p = sub.add_parser("analyze", help="run one experiment kind, write CSV+NDJSON")
-    p.add_argument("--input", required=True)
+    p = command("analyze", cmd_analyze, "run one experiment kind, write CSV+NDJSON", graph_flags, sir_flags,
+                output_help="output prefix: writes PREFIX.csv and PREFIX.ndjson")
     p.add_argument("--kind", choices=["correlation", "seeding", "immunization", "timing"], required=True)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--bins", type=int, default=10)
@@ -197,14 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-global", type=int, default=100)
     p.add_argument("--with-betweenness", action="store_true",
                    help="include betweenness in the correlation report (O(n*m))")
-    p.add_argument("--seed", type=int, default=0)
-    _add_sir_flags(p)
-    p.add_argument("--threshold", type=float, default=GLOBAL_THRESHOLD)
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
-    p.add_argument("--output", required=True, help="output prefix: writes PREFIX.csv and PREFIX.ndjson")
-    p.set_defaults(func=cmd_analyze, command="analyze")
 
-    p = sub.add_parser("bench", help="EF timing sweep over degrees/workers/modes")
+    p = command("bench", cmd_bench, "EF timing sweep over degrees/workers/modes")
     p.add_argument("--scale", type=int, default=12)
     p.add_argument("--degrees", type=_int_list, default=[2, 4, 8, 16])
     p.add_argument("--workers", type=_int_list, default=[1])
@@ -212,18 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=None, help="seconds; abort remaining cells")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_bench, command="bench")
-
     return parser
-
-
-def _add_sir_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r0", type=float, default=1.3)
-    p.add_argument("--recovery-days", type=float, default=3.0)
-    p.add_argument("--beta", type=float, default=None, help="override calibrated beta")
-    p.add_argument("--mu", type=float, default=None, help="override calibrated mu")
-    p.add_argument("--max-steps", type=int, default=None)
 
 
 def _probs(text: str) -> tuple[float, ...]:
@@ -360,8 +344,8 @@ def cmd_simulate(args, manifest) -> None:
         if index == g.n or g.orig_ids[index] != args.index:
             raise ValueError(f"index case {args.index} is not a node of the graph")
     with _phase(manifest, "simulate"):
-        run_scenarios(g, p, [(args.seed, index, ())], args.reps, args.workers,
-                      fold=lambda runs: _write_runs(args, g, runs))
+        run_replicates(g, p, args.reps, args.seed, index_case=index, workers=args.workers,
+                       fold=lambda runs: _write_runs(args, g, runs))
 
 
 def _write_runs(args, g: Graph, runs) -> None:

@@ -5,10 +5,10 @@ generated with a recursive-matrix (R-MAT) sampler. Construction cleans the
 input: self-loops and duplicate edges are removed, the edge set is
 symmetrized, isolated nodes are dropped, and surviving nodes are relabeled
 to a dense 0..n-1 range (sorted by original id, so dense order preserves
-original order). The resulting Graph is immutable and safe to share
-read-only across workers. `Graph.expand` is the one frontier gather of the
-batched kernels: it maps flat lane keys lane*n + v (a replicate or a BFS
-source per lane) to their neighbors' keys lane*n + w.
+original order). The resulting Graph is immutable, its arrays read-only,
+and safe to share across workers. `Graph.expand` is the one frontier
+gather of the batched kernels: it maps flat lane keys lane*n + v (a
+replicate or a BFS source per lane) to their neighbors' keys lane*n + w.
 """
 from __future__ import annotations
 
@@ -44,9 +44,9 @@ _RMAT_BYTES_PER_EDGE = 128  # a `generate` process peaks at ~99 B per target edg
 # ~62 at s21 and ~61 at s22; below s18 the process's fixed ~60 MB dominates
 
 
-@dataclass
+@dataclass(frozen=True)
 class Graph:
-    """Immutable undirected simple graph.
+    """Immutable undirected simple graph; its fields cannot be reassigned and its arrays are read-only.
 
     Attributes:
         n: number of nodes (dense ids 0..n-1)
@@ -238,7 +238,10 @@ def _csr(orig_ids: np.ndarray, codes: np.ndarray) -> Graph:
     keys.sort()
     offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     keys %= n
-    return Graph(n=n, m=int(codes.size), offsets=offsets, neighbors=keys.astype(np.int32), orig_ids=orig_ids)
+    neighbors = keys.astype(np.int32)
+    for arr in (offsets, neighbors, orig_ids):
+        arr.flags.writeable = False
+    return Graph(n=n, m=int(codes.size), offsets=offsets, neighbors=neighbors, orig_ids=orig_ids)
 
 
 def generate_rmat(params: RmatParams) -> tuple[Graph, bool]:

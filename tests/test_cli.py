@@ -762,3 +762,37 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "network
         assert done.returncode == 0, done.stderr[-2000:]
         assert done.stdout.strip() == "[]"
         assert not [line for line in done.stderr.splitlines() if "scipy" in line or "networkx" in line]
+
+
+# the flags simulate and analyze share; --input, --output and --reps are given per command below
+_SIR_DEFAULTS = {"seed": 0, "r0": 1.3, "recovery_days": 3.0, "beta": None, "mu": None, "max_steps": None,
+                 "threshold": 0.25, "workers": None}
+_PARSED_DEFAULTS = [  # a minimal command line per subcommand, and every flag's parsed value
+    (["generate", "--scale", "6", "--avg-degree", "4", "--output", "o"],
+     {"command": "generate", "scale": 6, "avg_degree": 4, "seed": 0, "probs": None, "output": "o"}),
+    (["ef", "--input", "i", "--output", "o"],
+     {"command": "ef", "input": "i", "mode": "cluster", "workers": None, "output": "o"}),
+    (["centrality", "--input", "i", "--metric", "degree", "--output", "o"],
+     {"command": "centrality", "input": "i", "metric": "degree", "damping": 0.85, "tol": 1e-08, "max_iter": 200,
+      "budget": 500_000_000, "force": False, "workers": None, "output": "o"}),
+    (["simulate", "--input", "i", "--output", "o"],
+     {"command": "simulate", "input": "i", "index": None, "reps": 1, **_SIR_DEFAULTS, "forest_output": None,
+      "output": "o"}),
+    (["analyze", "--input", "i", "--kind", "seeding", "--output", "o"],
+     {"command": "analyze", "input": "i", "kind": "seeding", "reps": 100, "bins": 10, "scenarios": 10,
+      "immunize_frac": 0.05, "min_global": 100, "with_betweenness": False, **_SIR_DEFAULTS, "output": "o"}),
+    (["bench", "--output", "o"],
+     {"command": "bench", "scale": 12, "degrees": [2, 4, 8, 16], "workers": [1], "modes": ["cluster"],
+      "repeats": 3, "seed": 0, "timeout": None, "output": "o"}),
+]
+
+
+@pytest.mark.parametrize("argv,expected", _PARSED_DEFAULTS, ids=[argv[0] for argv, _ in _PARSED_DEFAULTS])
+def test_parsed_defaults_are_pinned(argv, expected):
+    parser = cli._build_parser()
+    parsed = vars(parser.parse_args(argv))
+    assert parsed.pop("func").__name__ == f"cmd_{argv[0]}"
+    assert parsed == expected
+    for at in range(1, len(argv), 2):  # every flag of the minimal command line is required
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv[:at] + argv[at + 2:])

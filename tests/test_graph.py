@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -220,6 +221,21 @@ class TestQueries:
             g.adjacency(-1)
         with pytest.raises(ValueError):
             g.adjacency(99)
+
+    @pytest.mark.parametrize("make", [lambda: build_graph([(0, 1), (1, 2)]),
+                                      lambda: generate_rmat(RmatParams(scale=4, avg_degree=2))[0]],
+                             ids=["build_graph", "generate_rmat"])
+    def test_graph_is_immutable(self, make):
+        g = make()
+        before = g.neighbors.copy()
+        with pytest.raises(ValueError):
+            g.adjacency(1)[0] = 2
+        assert g.neighbors.tolist() == before.tolist()
+        for arr in (g.offsets, g.neighbors, g.orig_ids):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.n = 7
 
 
 class TestExpand:
